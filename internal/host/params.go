@@ -7,8 +7,8 @@ import "danas/internal/sim"
 // testbed — 1 GHz Pentium III, ServerWorks LE, FreeBSD 4.6, LANai9.2 on
 // 64-bit/66 MHz PCI, 2 Gb/s Myrinet — and were tuned so the simulated
 // gm_allsize/pingpong/netperf equivalents land on the paper's Table 2 and
-// the Table 3 microbenchmark, as recorded in EXPERIMENTS.md. Everything
-// else in the evaluation is prediction from these constants.
+// the Table 3 microbenchmark. Everything else in the evaluation is
+// prediction from these constants.
 type Params struct {
 	// ---- Network fabric ----
 

@@ -96,6 +96,11 @@ type Report struct {
 	Observed  bool
 	Breakdown obs.Breakdown
 	FlightOps int
+	// Events is how many simulation events the run executed and End the
+	// simulated clock when it went quiescent: host-independent measures
+	// of the work the kernel did, pinned by the golden-count test.
+	Events uint64
+	End    sim.Time
 }
 
 // RunOpts selects the optional observability outputs of one run.
@@ -214,7 +219,8 @@ func RunObserved(spec *Spec, scale exper.Scale, opts RunOpts) (*Report, error) {
 		m.SwitchDrops = sess.Cluster.Fab.Dropped()
 	}
 
-	rep := &Report{Spec: spec, Scale: scale, M: m, Pass: true}
+	rep := &Report{Spec: spec, Scale: scale, M: m, Pass: true,
+		Events: sess.Cluster.S.Events(), End: sess.Cluster.S.Now()}
 	if ob != nil {
 		spans := ob.Rec.Spans()
 		rep.Observed = true

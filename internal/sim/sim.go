@@ -1,19 +1,27 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// A Scheduler owns a virtual clock and an event queue. Logical processes
-// (Proc) are Go goroutines driven as coroutines: exactly one process runs at
-// any instant, and control returns to the scheduler whenever a process
-// blocks (Sleep, Resource.Acquire, Queue.Get, ...). Events with equal
-// timestamps fire in the order they were posted, so a run is a pure function
-// of its inputs and seeds.
+// A Scheduler owns a virtual clock and a 4-ary min-heap of value events
+// ordered by (time, post order): events with equal timestamps fire in the
+// order they were posted, so a run is a pure function of its inputs and
+// seeds. An event either calls a function or resumes a logical process.
+//
+// A process (Proc) runs on an iter.Pull coroutine, which is reused for a
+// later process once its body returns. The event loop resumes a process
+// with a direct coroutine switch, and the process switches straight back
+// whenever it blocks (Sleep, Resource.Acquire, Queue.Get, ...), so exactly
+// one process runs at any instant and a wake costs no scheduler round
+// trip. A process that panics stops the run: the panic, naming the
+// process, propagates out of Run. Close unwinds every parked process before
+// it returns.
 //
 // The kernel knows nothing about networks or storage; those live in the
 // packages layered above (netsim, host, nic, ...).
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
+	"strconv"
 )
 
 // Time is an absolute simulated time in nanoseconds since simulation start.
@@ -74,57 +82,42 @@ func TransferTime(n int64, bytesPerSec float64) Duration {
 	return Duration(float64(n) * 1e9 / bytesPerSec)
 }
 
-// event is a single scheduled callback. A cancelled event stays in the
-// heap (removal would disturb sibling ordering) but is skipped by the
-// loop without advancing the clock.
+// event is one scheduled action: it resumes p when p is set and calls fn
+// otherwise. A cancelled event stays in the heap (removal would disturb
+// sibling ordering) but is skipped by the loop without advancing the clock;
+// dead, set only for AfterCancel events, says whether it was cancelled.
 type event struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	cancelled bool
+	at   Time
+	seq  uint64
+	fn   func()
+	p    *Proc
+	dead *bool
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the heap order: earlier time first, then earlier post.
+func (e *event) before(f *event) bool {
+	if e.at != f.at {
+		return e.at < f.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return e.seq < f.seq
 }
 
 // Scheduler owns the virtual clock, the event queue and all processes.
 // The zero value is not usable; call New.
 type Scheduler struct {
-	now      Time
-	events   eventHeap
-	seq      uint64
-	yield    chan struct{} // a running Proc signals here when it blocks or exits
-	shutdown chan struct{} // closed by Close to reap blocked Procs
-	closed   bool
-	inLoop   bool
-	procSeq  int
-	nEvents  uint64 // total events executed, for diagnostics
+	now     Time
+	events  []event // 4-ary min-heap under event.before
+	seq     uint64
+	live    []*coroutine // every coroutine not yet exited, by coroutine.slot
+	idle    []*coroutine // live coroutines with no process to run
+	closed  bool
+	inLoop  bool
+	procSeq int
+	nEvents uint64 // total events executed, for diagnostics
 }
 
 // New returns an empty scheduler with the clock at zero.
-func New() *Scheduler {
-	return &Scheduler{
-		yield:    make(chan struct{}),
-		shutdown: make(chan struct{}),
-	}
-}
+func New() *Scheduler { return &Scheduler{} }
 
 // Now returns the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
@@ -132,14 +125,67 @@ func (s *Scheduler) Now() Time { return s.now }
 // Events returns the number of events executed so far.
 func (s *Scheduler) Events() uint64 { return s.nEvents }
 
-// post schedules fn at absolute time at. Panics if at is in the past.
-func (s *Scheduler) post(at Time, fn func()) {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: event posted in the past (at=%d now=%d)", at, s.now))
+// push stamps e with the next post sequence number and sifts it into the
+// heap. Panics if e is in the past.
+func (s *Scheduler) push(e event) {
+	if e.at < s.now {
+		panic(fmt.Sprintf("sim: event posted in the past (at=%d now=%d)", e.at, s.now))
 	}
 	s.seq++
-	heap.Push(&s.events, &event{at: at, seq: s.seq, fn: fn})
+	e.seq = s.seq
+	h := append(s.events, e)
+	i := len(h) - 1
+	for i > 0 {
+		up := (i - 1) / 4
+		if !e.before(&h[up]) {
+			break
+		}
+		h[i] = h[up]
+		i = up
+	}
+	h[i] = e
+	s.events = h
 }
+
+// pop removes and returns the earliest event.
+func (s *Scheduler) pop() event {
+	h := s.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for j := c + 1; j < c+4 && j < n; j++ {
+				if h[j].before(&h[m]) {
+					m = j
+				}
+			}
+			if !h[m].before(&last) {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		h[i] = last
+	}
+	s.events = h
+	return top
+}
+
+// post schedules fn at absolute time at. Panics if at is in the past.
+func (s *Scheduler) post(at Time, fn func()) { s.push(event{at: at, fn: fn}) }
+
+// ready schedules p to resume at the current instant, after the events
+// already queued for it.
+func (s *Scheduler) ready(p *Proc) { s.push(event{at: s.now, p: p}) }
 
 // After schedules fn to run d from now. Negative d is clamped to zero.
 func (s *Scheduler) After(d Duration, fn func()) {
@@ -161,10 +207,9 @@ func (s *Scheduler) AfterCancel(d Duration, fn func()) (cancel func()) {
 	if d < 0 {
 		d = 0
 	}
-	s.seq++
-	e := &event{at: s.now.Add(d), seq: s.seq, fn: fn}
-	heap.Push(&s.events, e)
-	return func() { e.cancelled = true }
+	dead := new(bool)
+	s.push(event{at: s.now.Add(d), fn: fn, dead: dead})
+	return func() { *dead = true }
 }
 
 // Run executes events until the queue is empty. Processes blocked on
@@ -192,124 +237,162 @@ func (s *Scheduler) runUntil(limit Time) {
 	}
 	s.inLoop = true
 	defer func() { s.inLoop = false }()
-	for s.events.Len() > 0 {
-		e := s.events[0]
-		if limit >= 0 && e.at > limit {
+	for len(s.events) > 0 {
+		if limit >= 0 && s.events[0].at > limit {
 			return
 		}
-		heap.Pop(&s.events)
-		if e.cancelled {
+		e := s.pop()
+		if e.dead != nil && *e.dead {
 			continue
 		}
 		s.now = e.at
 		s.nEvents++
-		e.fn()
+		if e.p != nil {
+			e.p.resume()
+		} else {
+			e.fn()
+		}
 	}
 }
 
-// Close terminates every blocked process so their goroutines exit. The
+// Close unwinds every parked process, running its deferred functions, and
+// returns once all of the scheduler's coroutines have exited. The
 // scheduler must not be used afterwards. It is safe to call Close more
 // than once.
 func (s *Scheduler) Close() {
 	if s.closed {
 		return
 	}
+	if s.inLoop {
+		panic("sim: Close called from inside the simulation")
+	}
 	s.closed = true
-	close(s.shutdown)
+	for len(s.live) > 0 {
+		c := s.live[len(s.live)-1]
+		s.retire(c)
+		c.stop()
+	}
+	s.idle = nil
+	s.events = nil
 }
 
-// killed is the panic value used to unwind a Proc goroutine at Close time.
+// retire drops c from the live set; it is a no-op once c has left it.
+func (s *Scheduler) retire(c *coroutine) {
+	if c.slot < 0 {
+		return
+	}
+	last := s.live[len(s.live)-1]
+	s.live[c.slot] = last
+	last.slot = c.slot
+	s.live[len(s.live)-1] = nil
+	s.live = s.live[:len(s.live)-1]
+	c.slot = -1
+}
+
+// killed is the panic value that unwinds a parked Proc at Close time.
 type killed struct{}
 
-// Proc is a logical process: a goroutine that runs only when the scheduler
-// resumes it and always hands control back before simulated time advances.
+// A coroutine runs process bodies back to back: when one returns, the
+// coroutine parks idle until the scheduler hands it the next process to
+// start. A run thus creates as many coroutines as it has processes alive
+// at once, not one per process.
+type coroutine struct {
+	s     *Scheduler
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc // the process being run; nil while idle
+	slot  int   // index in s.live, -1 once exited
+}
+
+// loop is the coroutine body. It ends when Close stops the coroutine or a
+// process body panics.
+func (c *coroutine) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	defer c.s.retire(c)
+	for c.runProc() {
+		c.s.idle = append(c.s.idle, c)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// runProc runs c.p's body to completion and reports whether c may run
+// another: false when Close unwound it. A panic other than the unwind is
+// re-raised, naming the process, into the event loop that resumed it.
+func (c *coroutine) runProc() (reusable bool) {
+	p := c.p
+	defer func() {
+		p.dead = true
+		p.co, c.p = nil, nil
+		if r := recover(); r != nil {
+			if _, ok := r.(killed); ok {
+				return // reaped by Scheduler.Close
+			}
+			panic(fmt.Sprintf("sim: proc %s panicked: %v", p.Name(), r))
+		}
+	}()
+	fn := p.body
+	p.body = nil
+	fn(p)
+	return true
+}
+
+// Proc is a logical process: it runs on a coroutine only when the event
+// loop resumes it and always switches back before simulated time advances.
 type Proc struct {
-	s      *Scheduler
-	name   string
-	resume chan struct{}
-	dead   bool
-	note   any
+	s    *Scheduler
+	name string
+	id   int
+	body func(p *Proc) // until the first resume starts it
+	co   *coroutine    // while started and not exited
+	dead bool
+	note any
 }
 
 // Go spawns a new process whose body starts executing at the current
 // simulated time (after already-queued events at this time).
 func (s *Scheduler) Go(name string, fn func(p *Proc)) *Proc {
 	s.procSeq++
-	p := &Proc{
-		s:      s,
-		name:   fmt.Sprintf("%s#%d", name, s.procSeq),
-		resume: make(chan struct{}),
-	}
-	s.After(0, func() {
-		go p.run(fn)
-		s.wake(p)
-	})
+	p := &Proc{s: s, name: name, id: s.procSeq, body: fn}
+	s.ready(p)
 	return p
 }
 
-func (p *Proc) run(fn func(p *Proc)) {
-	defer func() {
-		p.dead = true
-		if r := recover(); r != nil {
-			if _, ok := r.(killed); ok {
-				return // reaped by Scheduler.Close
-			}
-			panic(fmt.Sprintf("sim: proc %s panicked: %v", p.name, r))
-		}
-		// Normal exit: hand control back to the event loop.
-		select {
-		case p.s.yield <- struct{}{}:
-		case <-p.s.shutdown:
-		}
-	}()
-	p.waitResume()
-	fn(p)
-}
-
-// wake resumes p and blocks until p yields again. It must only be called
-// from inside the event loop (i.e. from an event callback).
-func (s *Scheduler) wake(p *Proc) {
+// resume runs p until it next blocks or exits, starting it on an idle or
+// new coroutine on the first call. It must only be called from the event
+// loop.
+func (p *Proc) resume() {
 	if p.dead {
 		return
 	}
-	select {
-	case p.resume <- struct{}{}:
-	case <-s.shutdown:
-		return
+	if p.co == nil {
+		s := p.s
+		if n := len(s.idle); n > 0 {
+			p.co = s.idle[n-1]
+			s.idle[n-1] = nil
+			s.idle = s.idle[:n-1]
+		} else {
+			p.co = &coroutine{s: s, slot: len(s.live)}
+			s.live = append(s.live, p.co)
+			p.co.next, p.co.stop = iter.Pull(p.co.loop)
+		}
+		p.co.p = p
 	}
-	select {
-	case <-s.yield:
-	case <-s.shutdown:
-	}
+	p.co.next()
 }
 
-// yieldToLoop hands control from the running process back to the event loop.
-func (p *Proc) yieldToLoop() {
-	select {
-	case p.s.yield <- struct{}{}:
-	case <-p.s.shutdown:
-		//lint:ignore panicfree killed{} is the coroutine-unwind token Go() recovers by type; a string would be caught by nothing
-		panic(killed{})
-	}
-}
-
-func (p *Proc) waitResume() {
-	select {
-	case <-p.resume:
-	case <-p.s.shutdown:
-		//lint:ignore panicfree killed{} is the coroutine-unwind token Go() recovers by type; a string would be caught by nothing
-		panic(killed{})
-	}
-}
-
-// block parks p until some event calls Scheduler.wake(p).
+// block parks p until an event resumes it.
 func (p *Proc) block() {
-	p.yieldToLoop()
-	p.waitResume()
+	if !p.co.yield(struct{}{}) {
+		//lint:ignore panicfree killed{} is the coroutine-unwind token runProc recovers by type; a string would be caught by nothing
+		panic(killed{})
+	}
 }
 
 // Name returns the process name (unique within its scheduler).
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string { return p.name + "#" + strconv.Itoa(p.id) }
 
 // SetAnnotation attaches an opaque per-process value; Annotation reads
 // it back (nil when unset). The kernel never inspects the value — layers
@@ -332,8 +415,7 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	s := p.s
-	s.After(d, func() { s.wake(p) })
+	p.s.push(event{at: p.s.now.Add(d), p: p})
 	p.block()
 }
 

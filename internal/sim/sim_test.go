@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"runtime"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -135,6 +138,173 @@ func TestCloseReapsBlockedProcs(t *testing.T) {
 	}
 	s.Close()
 	s.Close() // idempotent
+}
+
+// TestCloseUnwindsParkedProcs parks a process at each kind of blocking
+// point and checks that Close unwinds every one synchronously: deferred
+// functions have run and the coroutines are gone when Close returns.
+func TestCloseUnwindsParkedProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New()
+	q := NewQueue[int](s, "q")
+	r := NewResource(s, "r", 1)
+	g := NewSignal(s)
+	s.Go("holder", func(p *Proc) { r.Acquire(p, 1) }) // exits holding r
+	blocks := map[string]func(p *Proc){
+		"sleep":   func(p *Proc) { p.Sleep(Second) },
+		"get":     func(p *Proc) { q.Get(p) },
+		"acquire": func(p *Proc) { r.Acquire(p, 1) },
+		"wait":    g.Wait,
+	}
+	unwound := map[string]bool{}
+	for name, block := range blocks {
+		s.Go(name, func(p *Proc) {
+			defer func() { unwound[name] = true }()
+			block(p)
+			t.Errorf("%s: resumed after Close", name)
+		})
+	}
+	s.RunUntil(Time(Millisecond))
+	if n := runtime.NumGoroutine(); n < base+len(blocks) {
+		t.Fatalf("%d goroutines with %d procs parked, want at least %d", n, len(blocks), base+len(blocks))
+	}
+	if len(unwound) != 0 {
+		t.Fatalf("procs unwound before Close: %v", unwound)
+	}
+	s.Close()
+	for name := range blocks {
+		if !unwound[name] {
+			t.Errorf("%s: deferred function did not run by the time Close returned", name)
+		}
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Errorf("%d goroutines after Close, want the %d from before the scheduler", n, base)
+	}
+	s.Close() // a second Close is a no-op
+}
+
+// TestProcPanicSurfacesFromRun checks that a panicking process stops the
+// run with a panic, naming the process, that the Run caller can recover.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New()
+	s.Go("idle", func(p *Proc) { p.Sleep(Second) })
+	s.Go("idle", func(p *Proc) { p.Sleep(Second) })
+	w := s.Go("worker", func(p *Proc) {
+		p.Sleep(Microsecond)
+		panic("disk on fire")
+	})
+	if w.Name() != "worker#3" {
+		t.Fatalf("Name() = %q, want worker#3", w.Name())
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Run()
+		return nil
+	}()
+	if want := "sim: proc worker#3 panicked: disk on fire"; got != want {
+		t.Errorf("Run panicked with %v, want %q", got, want)
+	}
+	if s.Now() != Time(Microsecond) {
+		t.Errorf("clock = %v after the panic, want 1us", s.Now())
+	}
+	s.Close()
+	if n := runtime.NumGoroutine(); n != base {
+		t.Errorf("%d goroutines after Close, want %d", n, base)
+	}
+}
+
+// TestEventOrderProperty drives random interleavings of At, After,
+// AfterCancel, cancellation and RunUntil against a reference model: the
+// events that run are the uncancelled ones, in a stable sort by time of
+// their post order; cancelled events neither advance the clock nor count
+// in Events; and RunUntil leaves later events queued.
+func TestEventOrderProperty(t *testing.T) {
+	type posted struct {
+		at              Time
+		id              int
+		cancelled, done bool
+	}
+	f := func(prog []uint16) bool {
+		s := New()
+		defer s.Close()
+		var all []*posted // in post order
+		var cancels []func()
+		var cancelOf []*posted
+		var got, want []int
+		post := func(at Time) (*posted, func()) {
+			e := &posted{at: at, id: len(all)}
+			all = append(all, e)
+			return e, func() { got = append(got, e.id) }
+		}
+		// settle appends to want the events the reference runs up to
+		// limit (everything when limit < 0) and returns the last one's
+		// time, or -1 when none runs.
+		settle := func(limit Time) Time {
+			var due []*posted
+			for _, e := range all {
+				if !e.done && !e.cancelled && (limit < 0 || e.at <= limit) {
+					due = append(due, e)
+				}
+			}
+			sort.SliceStable(due, func(i, j int) bool { return due[i].at < due[j].at })
+			last := Time(-1)
+			for _, e := range due {
+				e.done = true
+				want = append(want, e.id)
+				last = e.at
+			}
+			return last
+		}
+		for _, op := range prog {
+			d := Duration(op/8) % 8
+			switch op % 8 {
+			case 0, 1:
+				_, fn := post(s.Now().Add(d))
+				s.At(s.Now().Add(d), fn)
+			case 2, 3:
+				_, fn := post(s.Now().Add(d))
+				s.After(d, fn)
+			case 4, 5:
+				e, fn := post(s.Now().Add(d))
+				cancels = append(cancels, s.AfterCancel(d, fn))
+				cancelOf = append(cancelOf, e)
+			case 6:
+				if len(cancels) > 0 {
+					i := int(op/64) % len(cancels)
+					cancels[i]()
+					if !cancelOf[i].done {
+						cancelOf[i].cancelled = true
+					}
+				}
+			case 7:
+				limit := s.Now().Add(d)
+				settle(limit)
+				s.RunUntil(limit)
+				if s.Now() != limit {
+					t.Logf("RunUntil(%d) left the clock at %d", limit, s.Now())
+					return false
+				}
+			}
+		}
+		end := s.Now()
+		if last := settle(-1); last > end {
+			end = last
+		}
+		s.Run()
+		if !slices.Equal(got, want) {
+			t.Logf("ran %v, want %v", got, want)
+			return false
+		}
+		if s.Now() != end || s.Events() != uint64(len(want)) {
+			t.Logf("clock %d events %d, want clock %d events %d", s.Now(), s.Events(), end, len(want))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestDeterminism(t *testing.T) {
