@@ -27,15 +27,11 @@ import (
 	"fmt"
 
 	"danas/internal/core"
-	"danas/internal/dafs"
+	"danas/internal/exper"
 	"danas/internal/fsim"
 	"danas/internal/host"
 	"danas/internal/nas"
-	"danas/internal/netsim"
-	"danas/internal/nfs"
-	"danas/internal/nic"
 	"danas/internal/sim"
-	"danas/internal/udpip"
 )
 
 // Re-exported simulation types: application code runs as processes in
@@ -70,7 +66,7 @@ const (
 )
 
 // DefaultParams returns the parameter table calibrated against the paper's
-// Table 2 and Table 3 (see DESIGN.md §5).
+// Table 2 and Table 3.
 func DefaultParams() *Params { return host.Default() }
 
 // Protocol selects a client system from the paper.
@@ -113,21 +109,7 @@ func (pr Protocol) String() string {
 // Cluster is a simulated testbed: one server machine plus one client
 // machine per mount, joined by a 2 Gb/s switched fabric.
 type Cluster struct {
-	s      *sim.Scheduler
-	p      *Params
-	fab    *netsim.Fabric
-	line   netsim.LineConfig
-	sh     *host.Host
-	sn     *nic.NIC
-	sstack *udpip.Stack
-	fs     *fsim.FS
-	disk   *fsim.Disk
-	sc     *fsim.ServerCache
-	dsrv   *dafs.Server
-	nsrv   *nfs.Server
-
-	mounts  []*Mount
-	nfsPort int
+	cl *exper.Cluster
 }
 
 // ClusterOption configures NewCluster.
@@ -174,42 +156,33 @@ func NewCluster(opts ...ClusterOption) *Cluster {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	s := sim.New()
-	p := cfg.params
-	c := &Cluster{
-		s:    s,
-		p:    p,
-		fab:  netsim.NewFabric(s, p.SwitchLatency),
-		line: netsim.LineConfig{Bandwidth: p.LinkBandwidth, Overhead: p.FrameOverhead, PropDelay: p.LinkPropDelay},
-	}
-	c.sh = host.New(s, "server", p)
-	c.sn = nic.New(c.sh, c.fab.AddPort("server", c.line))
-	c.sstack = udpip.NewStack(c.sn)
-	c.fs = fsim.NewFS()
-	c.disk = fsim.NewDisk(s, "disk", p.DiskSeek, p.DiskBW)
-	c.sc = fsim.NewServerCache(c.fs, c.disk, cfg.cacheBlock, cfg.cacheBlocks)
-	c.dsrv = dafs.NewServer(s, c.sn, c.fs, c.sc, cfg.optimistic)
-	c.nsrv = nfs.NewServer(s, c.sstack, c.fs, c.sc, cfg.nfsWorkers)
-	c.nfsPort = 900
-	return c
+	return &Cluster{cl: exper.NewCluster(exper.ClusterConfig{
+		Params:               cfg.params,
+		Shards:               1,
+		ServerCacheBlockSize: cfg.cacheBlock,
+		ServerCacheBlocks:    cfg.cacheBlocks,
+		Optimistic:           cfg.optimistic,
+		NFS:                  true,
+		NFSWorkers:           cfg.nfsWorkers,
+	})}
 }
 
 // Close tears the simulation down; the cluster must not be used after.
-func (c *Cluster) Close() { c.s.Close() }
+func (c *Cluster) Close() { c.cl.Close() }
 
 // Params returns the live parameter table (mutable before mounts are
 // created).
-func (c *Cluster) Params() *Params { return c.p }
+func (c *Cluster) Params() *Params { return c.cl.P }
 
 // Go spawns an application process at the current simulated time.
-func (c *Cluster) Go(name string, fn func(p *Proc)) { c.s.Go(name, fn) }
+func (c *Cluster) Go(name string, fn func(p *Proc)) { c.cl.Go(name, fn) }
 
 // Barrier is a one-shot rendezvous for coordinating application processes
 // (e.g. starting a measured phase on all clients simultaneously).
 type Barrier struct{ sig *sim.Signal }
 
 // NewBarrier creates an unreleased barrier on the cluster's clock.
-func NewBarrier(c *Cluster) *Barrier { return &Barrier{sig: sim.NewSignal(c.s)} }
+func NewBarrier(c *Cluster) *Barrier { return &Barrier{sig: sim.NewSignal(c.cl.S)} }
 
 // Release lets all current and future waiters proceed.
 func (b *Barrier) Release() { b.sig.Fire() }
@@ -218,15 +191,15 @@ func (b *Barrier) Release() { b.sig.Fire() }
 func (b *Barrier) Wait(p *Proc) { b.sig.Wait(p) }
 
 // Run advances the simulation until no work remains.
-func (c *Cluster) Run() { c.s.Run() }
+func (c *Cluster) Run() { c.cl.Run() }
 
 // Now returns the simulated clock.
-func (c *Cluster) Now() Time { return c.s.Now() }
+func (c *Cluster) Now() Time { return c.cl.S.Now() }
 
 // CreateFile creates a file with deterministic synthetic content on the
 // server.
 func (c *Cluster) CreateFile(name string, size int64) error {
-	_, err := c.fs.Create(name, size)
+	_, err := c.server().FS.Create(name, size)
 	return err
 }
 
@@ -234,37 +207,41 @@ func (c *Cluster) CreateFile(name string, size int64) error {
 // optimistic server, the NIC TLB) with it — the paper's standard
 // experiment precondition.
 func (c *Cluster) CreateWarmFile(name string, size int64) error {
-	f, err := c.fs.Create(name, size)
+	sh := c.server()
+	f, err := sh.FS.Create(name, size)
 	if err != nil {
 		return err
 	}
-	c.sc.Warm(f)
-	c.sn.TPT.WarmTLB()
+	sh.Cache.Warm(f)
+	sh.NIC.TPT.WarmTLB()
 	return nil
 }
+
+// server is the testbed's one server machine.
+func (c *Cluster) server() *exper.ServerShard { return c.cl.Shards[0] }
 
 // ContentSource returns the server file system's content back-channel,
 // needed by applications (like the embedded database) that consume real
 // bytes.
-func (c *Cluster) ContentSource() ContentSource { return c.fs }
+func (c *Cluster) ContentSource() ContentSource { return c.server().FS }
 
 // ServerCPUUtilization reports server CPU utilization since the last
 // MarkServerEpoch.
-func (c *Cluster) ServerCPUUtilization() float64 { return c.sh.CPU.Utilization() }
+func (c *Cluster) ServerCPUUtilization() float64 { return c.server().Host.CPU.Utilization() }
 
 // ServerLinkTxUtilization reports the server uplink utilization since the
 // last MarkServerEpoch.
-func (c *Cluster) ServerLinkTxUtilization() float64 { return c.sn.Port().TxUtilization() }
+func (c *Cluster) ServerLinkTxUtilization() float64 { return c.server().NIC.Port().TxUtilization() }
 
 // MarkServerEpoch restarts server-side utilization accounting.
 func (c *Cluster) MarkServerEpoch() {
-	c.sh.CPU.MarkEpoch()
-	c.sn.Port().MarkEpoch()
+	c.server().Host.CPU.MarkEpoch()
+	c.server().NIC.Port().MarkEpoch()
 }
 
 // ServerNICExceptions returns the count of ORDMA exceptions the server NIC
 // has signalled.
-func (c *Cluster) ServerNICExceptions() uint64 { return c.sn.StatsSnapshot().Exceptions }
+func (c *Cluster) ServerNICExceptions() uint64 { return c.server().NIC.StatsSnapshot().Exceptions }
 
 // MountOption configures a Mount.
 type MountOption func(*mountConfig)
@@ -304,7 +281,6 @@ type Mount struct {
 	Protocol Protocol
 	client   nas.Client
 	h        *host.Host
-	n        *nic.NIC
 	cached   *core.Client // non-nil for DAFS/ODAFS mounts
 	fs       *fsim.FS
 }
@@ -317,32 +293,19 @@ func (c *Cluster) Mount(proto Protocol, opts ...MountOption) *Mount {
 	for _, o := range opts {
 		o(&mc)
 	}
-	name := fmt.Sprintf("client%d", len(c.mounts)+1)
-	h := host.New(c.s, name, c.p)
-	n := nic.New(h, c.fab.AddPort(name, c.line))
-	m := &Mount{Protocol: proto, h: h, n: n, fs: c.fs}
-	switch proto {
-	case NFS, NFSPrePosting, NFSHybrid:
-		stack := udpip.NewStack(n)
-		c.nfsPort++
-		kind := map[Protocol]nfs.Kind{NFS: nfs.Standard, NFSPrePosting: nfs.PrePosting, NFSHybrid: nfs.Hybrid}[proto]
-		m.client = nfs.NewClient(c.s, stack, c.nfsPort, c.sstack, kind)
-	case DAFS, ODAFS:
-		cc := core.NewClient(c.s, n, c.dsrv, nic.Poll, core.Config{
+	spec := exper.MountSpec{System: proto.String()}
+	if proto == DAFS || proto == ODAFS {
+		spec.Cache = &core.Config{
 			BlockSize:   mc.cacheBlock,
 			DataBlocks:  mc.cacheBlocks,
 			Headers:     mc.cacheHeaders,
-			UseORDMA:    proto == ODAFS,
 			InlineRPC:   mc.inline,
 			MQDirectory: mc.mqDirectory,
-		})
-		m.client = cc
-		m.cached = cc
-	default:
-		panic("danas: unknown protocol")
+		}
 	}
-	c.mounts = append(c.mounts, m)
-	return m
+	node := c.cl.AddClientNode()
+	em := c.cl.Mount(len(c.cl.Nodes)-1, spec)
+	return &Mount{Protocol: proto, client: em.Client, h: node.Host, cached: em.Cached, fs: c.server().FS}
 }
 
 // Open resolves a file by name.

@@ -46,13 +46,13 @@ func ablationTLBPoint(n int, missUS float64) (meanUS, missRate float64) {
 	cl := NewCluster(cfg)
 	defer cl.Close()
 	fileSize := int64(n) * 4096
-	f, err := cl.FS.Create("a1", fileSize)
+	f, err := cl.Shards[0].FS.Create("a1", fileSize)
 	if err != nil {
 		panic(fmt.Sprintf("a1: create: %v", err))
 	}
-	cl.ServerCache.Warm(f) // exports installed; TLB deliberately cold
+	cl.Shards[0].Cache.Warm(f) // exports installed; TLB deliberately cold
 
-	client := cl.DAFSClient(0, nic.Poll, dafs.Inline)
+	client := cl.Mount(0, MountSpec{System: "DAFS", Transfer: dafs.Inline}).DAFS[0]
 	var hist metrics.Hist
 	cl.Go("bench", func(p *sim.Proc) {
 		h, _ := client.Open(p, "a1")
@@ -73,7 +73,7 @@ func ablationTLBPoint(n int, missUS float64) (meanUS, missRate float64) {
 		}
 	})
 	cl.Run()
-	st := cl.ServerNIC.StatsSnapshot()
+	st := cl.Shards[0].NIC.StatsSnapshot()
 	total := st.TLBHits + st.TLBMisses
 	return hist.Mean().Micros(), float64(st.TLBMisses) / float64(total)
 }
@@ -100,10 +100,10 @@ func ablationCapPoint(n int, capsOn bool) float64 {
 	cfg.ServerCacheBlocks = 4 * n
 	cl := NewCluster(cfg)
 	defer cl.Close()
-	cl.ServerNIC.TPT.UseCapabilities = capsOn
+	cl.Shards[0].NIC.TPT.UseCapabilities = capsOn
 	fileSize := int64(n) * 4096
 	cl.CreateWarmFile("a2", fileSize)
-	client := cl.DAFSClient(0, nic.Poll, dafs.Inline)
+	client := cl.Mount(0, MountSpec{System: "DAFS", Transfer: dafs.Inline}).DAFS[0]
 	var hist metrics.Hist
 	cl.Go("bench", func(p *sim.Proc) {
 		h, _ := client.Open(p, "a2")
@@ -115,7 +115,7 @@ func ablationCapPoint(n int, capsOn bool) float64 {
 			}
 			refs = append(refs, ref)
 		}
-		cl.ServerNIC.TPT.WarmTLB()
+		cl.Shards[0].NIC.TPT.WarmTLB()
 		for _, ref := range refs {
 			start := p.Now()
 			if res := client.QP().RDMA(p, nic.Get, ref.VA, 4096, ref.Cap); !res.OK() {
@@ -158,13 +158,12 @@ func ablationDirPoint(files, txns int, mq bool) (tps, ordmaRate float64) {
 	ccfg.ServerCacheBlocks = 8 * files
 	cl := NewCluster(ccfg)
 	defer cl.Close()
-	client := cl.CachedClient(0, core.Config{
+	client := cl.Mount(0, MountSpec{System: "ODAFS", Cache: &core.Config{
 		BlockSize:   4096,
 		DataBlocks:  files / 10,
 		Headers:     files / 2, // directory cannot map the whole set: policy matters
-		UseORDMA:    true,
 		MQDirectory: mq,
-	})
+	}}).Cached
 	pmCfg := postmark.DefaultConfig()
 	pmCfg.Files = files
 	pmCfg.Transactions = txns
@@ -176,7 +175,7 @@ func ablationDirPoint(files, txns int, mq bool) (tps, ordmaRate float64) {
 		if _, err := b.Run(p); err != nil { // warm
 			panic(fmt.Sprintf("dir ablation: postmark warm: %v", err))
 		}
-		cl.ServerNIC.TPT.WarmTLB()
+		cl.Shards[0].NIC.TPT.WarmTLB()
 		st0 := client.Stats()
 		res, err := b.Run(p)
 		if err != nil {
@@ -218,7 +217,7 @@ func ablationBatchPoint(n, batch int) float64 {
 	const block = 16 * 1024
 	fileSize := int64(n) * block
 	cl.CreateWarmFile("a4", fileSize)
-	client := cl.DAFSClient(0, nic.Poll, dafs.Direct)
+	client := cl.Mount(0, MountSpec{System: "DAFS"}).DAFS[0]
 	node := cl.Nodes[0]
 	var usPerRead float64
 	cl.Go("bench", func(p *sim.Proc) {
@@ -273,12 +272,11 @@ func ablationWriteRatioPoint(files, txns, readPct int, ordma bool) float64 {
 	ccfg.ServerCacheBlocks = 64 * files
 	cl := NewCluster(ccfg)
 	defer cl.Close()
-	client := cl.CachedClient(0, core.Config{
+	client := cl.Mount(0, MountSpec{System: cachedSystem(ordma), Cache: &core.Config{
 		BlockSize:  4096,
 		DataBlocks: files / 4,
 		Headers:    8 * files,
-		UseORDMA:   ordma,
-	})
+	}}).Cached
 	pmCfg := postmark.DefaultConfig()
 	pmCfg.Files = files
 	pmCfg.Transactions = txns
@@ -292,7 +290,7 @@ func ablationWriteRatioPoint(files, txns, readPct int, ordma bool) float64 {
 		if _, err := b.Run(p); err != nil {
 			panic(fmt.Sprintf("write-ratio ablation: postmark warm: %v", err))
 		}
-		cl.ServerNIC.TPT.WarmTLB()
+		cl.Shards[0].NIC.TPT.WarmTLB()
 		res, err := b.Run(p)
 		if err != nil {
 			panic(fmt.Sprintf("write-ratio ablation: postmark run: %v", err))
@@ -336,17 +334,16 @@ func ablationSuccessPoint(n int, validFrac float64, ordma bool) float64 {
 	cl := NewCluster(cfg)
 	defer cl.Close()
 	fileSize := int64(n) * 4096
-	f, err := cl.FS.Create("a5", fileSize)
+	f, err := cl.Shards[0].FS.Create("a5", fileSize)
 	if err != nil {
 		panic(fmt.Sprintf("a5: create: %v", err))
 	}
-	cl.ServerCache.Warm(f)
-	client := cl.CachedClient(0, core.Config{
+	cl.Shards[0].Cache.Warm(f)
+	client := cl.Mount(0, MountSpec{System: cachedSystem(ordma), Cache: &core.Config{
 		BlockSize:  4096,
 		DataBlocks: 32,
 		Headers:    2 * n,
-		UseORDMA:   ordma,
-	})
+	}}).Cached
 	var mbps float64
 	cl.Go("bench", func(p *sim.Proc) {
 		h, _ := client.Open(p, "a5")
@@ -354,8 +351,8 @@ func ablationSuccessPoint(n int, validFrac float64, ordma bool) float64 {
 			panic(fmt.Sprintf("a5: populate directory: %v", err))
 		}
 		// Invalidate a fraction of the exports server-side.
-		cl.ServerCache.EvictFraction(f, 1-validFrac, sim.NewRand(7))
-		cl.ServerNIC.TPT.WarmTLB()
+		cl.Shards[0].Cache.EvictFraction(f, 1-validFrac, sim.NewRand(7))
+		cl.Shards[0].NIC.TPT.WarmTLB()
 		start := p.Now()
 		var bytes int64
 		for off := int64(0); off < fileSize; off += 4096 {

@@ -1,8 +1,8 @@
 // Package exper is the benchmark harness: one experiment per table and
 // figure of the paper's evaluation (§5), each regenerating the same
-// rows/series the paper reports, plus ablations of the design choices
-// DESIGN.md calls out. The cmd/danas-bench binary and the root-level
-// testing.B benchmarks both drive this package.
+// rows/series the paper reports, plus ablations of its design choices.
+// The cmd/danas-bench binary and the root-level testing.B benchmarks both
+// drive this package.
 package exper
 
 import (
@@ -26,7 +26,7 @@ import (
 
 // Scale shrinks experiment file sizes and operation counts uniformly so
 // tests run fast; 1.0 is the benchmark default (which is itself reduced
-// from paper scale — the steady states are identical, see DESIGN.md §2).
+// from paper scale — the steady states are identical).
 type Scale float64
 
 func (s Scale) bytes(n int64) int64 {
@@ -79,6 +79,9 @@ type ClusterConfig struct {
 	// beyond the primary — complete NAS boxes, built exactly like the
 	// primaries. 0 (the default) builds the pre-replication fleet.
 	Replicas int
+	// Ack is the write acknowledgement policy of every mount over the
+	// replicas.
+	Ack stripe.AckPolicy
 	// Racks is the failure-domain count replica placement rotates over
 	// (stripe.Layout.Rack); 0 with Replicas > 0 defaults to Replicas+1
 	// so no two copies of a shard share a rack.
@@ -172,16 +175,14 @@ type ServerShard struct {
 }
 
 // Cluster is the assembled testbed: one or more server shards plus client
-// machines on a shared switched fabric. The shard-0 components are also
-// exposed under the legacy single-server field names every pre-stripe
-// experiment uses.
+// machines on a shared switched fabric.
 type Cluster struct {
 	S   *sim.Scheduler
 	P   *host.Params
 	Fab *netsim.Fabric
 
-	// Shards holds every primary server machine; Shards[0] is the legacy
-	// server.
+	// Shards holds every primary server machine; Shards[0] is the
+	// paper's single server.
 	Shards []*ServerShard
 
 	// ReplicaSets holds every copy of every shard:
@@ -189,22 +190,12 @@ type Cluster struct {
 	// shard's replica machines (empty beyond copy 0 when unreplicated).
 	ReplicaSets [][]*ServerShard
 
-	// Legacy single-server aliases (shard 0).
-	ServerHost  *host.Host
-	ServerNIC   *nic.NIC
-	ServerStack *udpip.Stack
-	FS          *fsim.FS
-	Disk        *fsim.Disk
-	ServerCache *fsim.ServerCache
-
-	DAFSServer *dafs.Server
-	NFSServer  *nfs.Server
-
 	Nodes []*ClientNode
 
 	stripeUnit  int64
 	nextNFSPort int
 	replicas    int
+	ack         stripe.AckPolicy
 	racks       int
 	serverLeafs int // leaves occupied by servers; clients fill the rest
 }
@@ -237,7 +228,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		cfg.Racks = cfg.Replicas + 1
 	}
 	c := &Cluster{S: s, P: p, Fab: fab, stripeUnit: cfg.StripeUnit, nextNFSPort: 900,
-		replicas: cfg.Replicas, racks: cfg.Racks}
+		replicas: cfg.Replicas, ack: cfg.Ack, racks: cfg.Racks}
 	// Racks map onto leaves: rack r attaches to leaf r mod Leaves, so
 	// the degenerate star (and racks 0) puts every server on leaf 0 and
 	// rack-aware replica placement crosses the spine by construction.
@@ -295,10 +286,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		}
 		c.ReplicaSets = append(c.ReplicaSets, set)
 	}
-	sh0 := c.Shards[0]
-	c.ServerHost, c.ServerNIC, c.ServerStack = sh0.Host, sh0.NIC, sh0.Stack
-	c.FS, c.Disk, c.ServerCache = sh0.FS, sh0.Disk, sh0.Cache
-	c.DAFSServer, c.NFSServer = sh0.DAFS, sh0.NFS
 	for i := 0; i < cfg.Clients; i++ {
 		c.AddClientNode()
 	}
@@ -352,151 +339,213 @@ func (c *Cluster) clientLeaf() int {
 // Close tears down the simulation.
 func (c *Cluster) Close() { c.S.Close() }
 
-// NFSClient mounts an NFS client of the given kind on node i against
-// shard 0.
-func (c *Cluster) NFSClient(i int, kind nfs.Kind) *nfs.Client {
-	return c.NFSClientForShard(i, 0, kind)
+// MountSpec names the client Mount builds. The cluster's shape, not the
+// spec, decides whether the mount is single, striped or replicated.
+type MountSpec struct {
+	// System is the legend name: "NFS", "NFS pre-posting", "NFS hybrid",
+	// "DAFS" or "ODAFS".
+	System string
+	// Cache, when set, mounts the cached DAFS/ODAFS client with this
+	// configuration (its UseORDMA is taken from System); nil mounts raw
+	// protocol sessions. ODAFS is always cached.
+	Cache *core.Config
+	// Transfer is how raw DAFS sessions move read data; cached mounts
+	// take theirs from Cache.InlineRPC.
+	Transfer dafs.TransferMode
 }
 
-// NFSClientForShard mounts an NFS client on node i against the given
-// shard's server.
-func (c *Cluster) NFSClientForShard(i, shard int, kind nfs.Kind) *nfs.Client {
-	c.nextNFSPort++
-	return nfs.NewClient(c.S, c.Nodes[i].Stack, c.nextNFSPort, c.Shards[shard].Stack, kind)
+// Mount is one client mounted on one client machine.
+type Mount struct {
+	// Client is the file client. A raw mount is the bare session on a
+	// one-shard unreplicated cluster, one stripe.Group of per-copy
+	// sessions per shard when replicated, and a stripe.Client over the
+	// shards when striped. A cached mount is Cached.
+	Client nas.Client
+	// Cached is the cached DAFS/ODAFS client (nil on raw mounts); it owns
+	// its sessions, striping and replica routing.
+	Cached *core.Client
+	// NFS and DAFS are a raw mount's sessions, one per copy of every
+	// shard, shard-major and copy-minor.
+	NFS  []*nfs.Client
+	DAFS []*dafs.Client
+	// Groups are a replicated raw mount's per-shard replica groups.
+	Groups []*stripe.Group
 }
 
-// DAFSClient mounts a raw (uncached) DAFS client on node i against
-// shard 0.
-func (c *Cluster) DAFSClient(i int, mode nic.NotifyMode, tm dafs.TransferMode) *dafs.Client {
-	return dafs.NewClient(c.S, c.Nodes[i].NIC, c.DAFSServer, mode, tm)
-}
-
-// CachedClient mounts a cached DAFS/ODAFS client on node i against
-// shard 0.
-func (c *Cluster) CachedClient(i int, cfg core.Config) *core.Client {
-	return core.NewClient(c.S, c.Nodes[i].NIC, c.DAFSServer, nic.Poll, cfg)
-}
-
-// StripedCachedClient mounts a cached DAFS/ODAFS client on node i whose
-// single block cache fronts every shard's DAFS server (per-shard ORDMA
-// reference directories fall out of the static layout).
-func (c *Cluster) StripedCachedClient(i int, cfg core.Config) *core.Client {
-	srvs := make([]*dafs.Server, len(c.Shards))
-	for s, sh := range c.Shards {
-		srvs[s] = sh.DAFS
+// Mount attaches a client of the given system to node i over every copy
+// of every shard. Sessions mount shard-major, copy-minor, so NFS port
+// allocation is deterministic. Every session polls for completions.
+func (c *Cluster) Mount(i int, spec MountSpec) *Mount {
+	node := c.Nodes[i]
+	m := &Mount{}
+	if spec.Cache != nil {
+		cfg := *spec.Cache
+		cfg.UseORDMA = spec.System == "ODAFS"
+		if !cfg.UseORDMA && spec.System != "DAFS" {
+			panic("exper: no cached client for " + spec.System)
+		}
+		servers := make([][]*dafs.Server, len(c.ReplicaSets))
+		primaries := make([]*dafs.Server, len(c.ReplicaSets))
+		for s, set := range c.ReplicaSets {
+			for _, sh := range set {
+				servers[s] = append(servers[s], sh.DAFS)
+			}
+			primaries[s] = set[0].DAFS
+		}
+		if c.replicas > 0 {
+			m.Cached = core.NewReplicatedClient(c.S, node.NIC, servers, nic.Poll, cfg, c.Layout(), c.ack)
+		} else {
+			m.Cached = core.NewStripedClient(c.S, node.NIC, primaries, nic.Poll, cfg, c.Layout())
+		}
+		m.Client = m.Cached
+		return m
 	}
-	return core.NewStripedClient(c.S, c.Nodes[i].NIC, srvs, nic.Poll, cfg, c.Layout())
-}
-
-// StripedNFSClient mounts an NFS client of the given kind on node i
-// routing per-block requests to every shard (the plain client when the
-// cluster has one shard).
-func (c *Cluster) StripedNFSClient(i int, kind nfs.Kind) nas.Client {
-	_, striped := c.StripedNFSClients(i, kind)
-	return striped
-}
-
-// StripedNFSClients is StripedNFSClient exposing the concrete per-shard
-// sub-clients alongside the striped facade, for callers that configure
-// retransmission or read retry counters (the failure experiment). Both
-// entry points share one mount loop so per-shard ordering and port
-// allocation cannot drift between experiments.
-func (c *Cluster) StripedNFSClients(i int, kind nfs.Kind) ([]*nfs.Client, nas.Client) {
-	ncs := make([]*nfs.Client, len(c.Shards))
-	subs := make([]nas.Client, len(c.Shards))
-	for s := range c.Shards {
-		ncs[s] = c.NFSClientForShard(i, s, kind)
-		subs[s] = ncs[s]
+	if spec.System == "ODAFS" {
+		panic("exper: ODAFS mounts need a cache config")
 	}
-	if len(c.Shards) == 1 {
-		return ncs, ncs[0]
-	}
-	return ncs, stripe.NewClient(c.Layout(), subs)
-}
-
-// StripedDAFSClient mounts a raw DAFS client on node i routing per-block
-// requests to every shard (the plain client when the cluster has one
-// shard).
-func (c *Cluster) StripedDAFSClient(i int, mode nic.NotifyMode, tm dafs.TransferMode) nas.Client {
-	if len(c.Shards) == 1 {
-		return c.DAFSClient(i, mode, tm)
-	}
-	subs := make([]nas.Client, len(c.Shards))
-	for s, sh := range c.Shards {
-		subs[s] = dafs.NewClient(c.S, c.Nodes[i].NIC, sh.DAFS, mode, tm)
-	}
-	return stripe.NewClient(c.Layout(), subs)
-}
-
-// NFSClientForCopy mounts an NFS client on node i against one copy of a
-// shard's replica set (copy 0 = the primary, identical to
-// NFSClientForShard).
-func (c *Cluster) NFSClientForCopy(i, shard, copy int, kind nfs.Kind) *nfs.Client {
-	c.nextNFSPort++
-	return nfs.NewClient(c.S, c.Nodes[i].Stack, c.nextNFSPort, c.ReplicaSets[shard][copy].Stack, kind)
-}
-
-// ReplicatedNFSClients mounts an NFS client of the given kind on node i
-// over the replicated fleet: each shard becomes a stripe.Group of one
-// session per copy (shard-major, copy-minor mount order, so port
-// allocation is deterministic), and the groups stripe under one facade.
-// The concrete sessions are returned alongside for retry configuration
-// and counter collection, the groups for failover/reissue counters.
-func (c *Cluster) ReplicatedNFSClients(i int, kind nfs.Kind, policy stripe.AckPolicy) ([]*nfs.Client, []*stripe.Group, nas.Client) {
-	var ncs []*nfs.Client
-	groups := make([]*stripe.Group, len(c.Shards))
-	subs := make([]nas.Client, len(c.Shards))
-	for s := range c.Shards {
-		copies := make([]nas.Client, len(c.ReplicaSets[s]))
-		for cp := range c.ReplicaSets[s] {
-			nc := c.NFSClientForCopy(i, s, cp, kind)
-			ncs = append(ncs, nc)
+	subs := make([]nas.Client, len(c.ReplicaSets))
+	for s, set := range c.ReplicaSets {
+		copies := make([]nas.Client, len(set))
+		for cp, sh := range set {
+			if spec.System == "DAFS" {
+				dc := dafs.NewClient(c.S, node.NIC, sh.DAFS, nic.Poll, spec.Transfer)
+				m.DAFS = append(m.DAFS, dc)
+				copies[cp] = dc
+				continue
+			}
+			c.nextNFSPort++
+			nc := nfs.NewClient(c.S, node.Stack, c.nextNFSPort, sh.Stack, nfsKindOf(spec.System))
+			m.NFS = append(m.NFS, nc)
 			copies[cp] = nc
 		}
-		groups[s] = stripe.NewGroup(policy, copies)
-		subs[s] = groups[s]
-	}
-	if len(c.Shards) == 1 {
-		return ncs, groups, groups[0]
-	}
-	return ncs, groups, stripe.NewClient(c.Layout(), subs)
-}
-
-// ReplicatedDAFSClient mounts a raw DAFS client on node i over the
-// replicated fleet, one stripe.Group of per-copy sessions per shard.
-func (c *Cluster) ReplicatedDAFSClient(i int, mode nic.NotifyMode, tm dafs.TransferMode, policy stripe.AckPolicy) ([]*dafs.Client, []*stripe.Group, nas.Client) {
-	var dcs []*dafs.Client
-	groups := make([]*stripe.Group, len(c.Shards))
-	subs := make([]nas.Client, len(c.Shards))
-	for s := range c.Shards {
-		copies := make([]nas.Client, len(c.ReplicaSets[s]))
-		for cp := range c.ReplicaSets[s] {
-			dc := dafs.NewClient(c.S, c.Nodes[i].NIC, c.ReplicaSets[s][cp].DAFS, mode, tm)
-			dcs = append(dcs, dc)
-			copies[cp] = dc
-		}
-		groups[s] = stripe.NewGroup(policy, copies)
-		subs[s] = groups[s]
-	}
-	if len(c.Shards) == 1 {
-		return dcs, groups, groups[0]
-	}
-	return dcs, groups, stripe.NewClient(c.Layout(), subs)
-}
-
-// ReplicatedCachedClient mounts a cached DAFS/ODAFS client on node i
-// over the replicated fleet: the client itself owns the per-shard
-// replica routing (core.NewReplicatedClient) so one block cache and one
-// reference directory front every copy.
-func (c *Cluster) ReplicatedCachedClient(i int, cfg core.Config, policy stripe.AckPolicy) *core.Client {
-	srvs := make([][]*dafs.Server, len(c.Shards))
-	for s := range c.Shards {
-		srvs[s] = make([]*dafs.Server, len(c.ReplicaSets[s]))
-		for cp, sh := range c.ReplicaSets[s] {
-			srvs[s][cp] = sh.DAFS
+		subs[s] = copies[0]
+		if c.replicas > 0 {
+			g := stripe.NewGroup(c.ack, copies)
+			m.Groups = append(m.Groups, g)
+			subs[s] = g
 		}
 	}
-	return core.NewReplicatedClient(c.S, c.Nodes[i].NIC, srvs, nic.Poll, cfg, c.Layout(), policy)
+	m.Client = subs[0]
+	if len(subs) > 1 {
+		m.Client = stripe.NewClient(c.Layout(), subs)
+	}
+	return m
+}
+
+// StripedNFSClients mounts an NFS client of the given kind on node i,
+// returning its sessions and its file client. It and StripedCachedClient
+// are the host-time benchmark's (hostbench) entry points into Mount.
+func (c *Cluster) StripedNFSClients(i int, kind nfs.Kind) ([]*nfs.Client, nas.Client) {
+	m := c.Mount(i, MountSpec{System: kind.String()})
+	return m.NFS, m.Client
+}
+
+// StripedCachedClient mounts a cached DAFS client on node i (ODAFS when
+// cfg.UseORDMA).
+func (c *Cluster) StripedCachedClient(i int, cfg core.Config) *core.Client {
+	return c.Mount(i, MountSpec{System: cachedSystem(cfg.UseORDMA), Cache: &cfg}).Cached
+}
+
+// cachedSystem names the cached client with or without ORDMA.
+func cachedSystem(ordma bool) string {
+	if ordma {
+		return "ODAFS"
+	}
+	return "DAFS"
+}
+
+// SetRetry arms retransmission on every session: calls back off
+// exponentially from timeout and fail with nas.ErrTimeout after
+// maxRetries attempts.
+func (m *Mount) SetRetry(timeout sim.Duration, maxRetries int) {
+	if m.Cached != nil {
+		m.Cached.SetRetry(timeout, maxRetries)
+		return
+	}
+	for _, nc := range m.NFS {
+		nc.SetRetry(timeout, maxRetries)
+	}
+	for _, dc := range m.DAFS {
+		dc.SetRetry(timeout, maxRetries)
+	}
+}
+
+// SetRDMATimeout bounds every DAFS session's direct-access descriptors
+// (NFS sessions issue none).
+func (m *Mount) SetRDMATimeout(d sim.Duration) {
+	if m.Cached != nil {
+		m.Cached.SetRDMATimeout(d)
+		return
+	}
+	for _, dc := range m.DAFS {
+		dc.SetRDMATimeout(d)
+	}
+}
+
+// Retries counts the faults the mount absorbed transparently: session
+// retransmissions, plus ORDMA faults (each retried over RPC) on cached
+// mounts.
+func (m *Mount) Retries() uint64 {
+	if m.Cached != nil {
+		return m.Cached.Retries() + m.Cached.Stats().ORDMAFaults
+	}
+	var n uint64
+	for _, nc := range m.NFS {
+		n += nc.Retransmits()
+	}
+	for _, dc := range m.DAFS {
+		n += dc.Retries
+	}
+	return n
+}
+
+// TimedOut counts calls that exhausted their retry budget and failed.
+func (m *Mount) TimedOut() uint64 {
+	if m.Cached != nil {
+		return m.Cached.TimedOuts()
+	}
+	var n uint64
+	for _, nc := range m.NFS {
+		n += nc.TimedOut()
+	}
+	for _, dc := range m.DAFS {
+		n += dc.TimedOut
+	}
+	return n
+}
+
+// Failovers counts serving-copy switches across the shards; Reissued
+// counts the uncommitted ranges failover re-wrote onto surviving copies.
+// Both are zero on unreplicated mounts.
+func (m *Mount) Failovers() uint64 {
+	if m.Cached != nil {
+		return m.Cached.Failovers()
+	}
+	var n uint64
+	for _, g := range m.Groups {
+		n += g.Failovers
+	}
+	return n
+}
+
+func (m *Mount) Reissued() uint64 {
+	if m.Cached != nil {
+		return m.Cached.Reissued()
+	}
+	var n uint64
+	for _, g := range m.Groups {
+		n += g.Reissued
+	}
+	return n
+}
+
+// Async returns the mount's async client with the given queue depth:
+// the cached client's native one, the generic adapter otherwise.
+func (m *Mount) Async(depth int) nas.AsyncClient {
+	if m.Cached != nil {
+		return m.Cached.Async(depth)
+	}
+	return nas.NewAsync(m.Client, depth)
 }
 
 // CreateWarmFile creates a synthetic file and warms the server cache with
@@ -524,7 +573,8 @@ func (c *Cluster) CreateWarmFile(name string, size int64) *fsim.File {
 	return first
 }
 
-// Crash kills server shard i (failure injection): arriving and queued
+// Crash kills one copy of a shard (copy 0 is the primary; failure
+// injection): arriving and queued
 // requests are discarded unexecuted, replies of requests already in the
 // handlers are suppressed, kernel state (IP reassembly, the RPC
 // duplicate-request cache) is lost, the file cache's contents are
@@ -534,13 +584,8 @@ func (c *Cluster) CreateWarmFile(name string, size int64) *fsim.File {
 // shard's NIC stays powered, so ORDMA gets fault back to their
 // initiators through the NIC-to-NIC exception path instead of hanging
 // them; RPC clients recover through their own retransmission.
-func (c *Cluster) Crash(shard int) { c.crashServer(c.Shards[shard]) }
-
-// CrashCopy kills one copy of a shard's replica set (fail.CopyTarget);
-// copy 0 is the primary, making CrashCopy(s, 0) identical to Crash(s).
-func (c *Cluster) CrashCopy(shard, copy int) { c.crashServer(c.ReplicaSets[shard][copy]) }
-
-func (c *Cluster) crashServer(sh *ServerShard) {
+func (c *Cluster) Crash(shard, copy int) {
+	sh := c.Copy(shard, copy)
 	sh.Stack.SetDown(true)
 	sh.DAFS.SetDown(true)
 	if sh.NFS != nil {
@@ -558,16 +603,11 @@ func (c *Cluster) crashServer(sh *ServerShard) {
 	sh.Cache.FlushAll()
 }
 
-// Restart brings a crashed shard back up with the cold caches the crash
+// Restart brings a crashed copy back up with the cold caches the crash
 // left behind; the file system itself (the disk) survives, so post-
 // restart misses repopulate the cache through disk reads.
-func (c *Cluster) Restart(shard int) { c.restartServer(c.Shards[shard]) }
-
-// RestartCopy brings one copy of a shard's replica set back up
-// (fail.CopyTarget).
-func (c *Cluster) RestartCopy(shard, copy int) { c.restartServer(c.ReplicaSets[shard][copy]) }
-
-func (c *Cluster) restartServer(sh *ServerShard) {
+func (c *Cluster) Restart(shard, copy int) {
+	sh := c.Copy(shard, copy)
 	// Guarantee the cold-restart contract: a handler whose disk read
 	// was already in flight at the crash instant slips past the
 	// servers' down guards and inserts its block after the crash-time
@@ -581,26 +621,16 @@ func (c *Cluster) restartServer(sh *ServerShard) {
 	}
 }
 
-// DegradeLink clamps shard i's link to the given rate (both directions:
+// DegradeLink clamps one copy's link to the given rate (both directions:
 // the port's rate applies to its uplink serialization and to downlink
 // serialization toward it).
-func (c *Cluster) DegradeLink(shard int, bytesPerSec float64) {
-	c.Shards[shard].NIC.Port().SetBandwidth(bytesPerSec)
+func (c *Cluster) DegradeLink(shard, copy int, bytesPerSec float64) {
+	c.Copy(shard, copy).NIC.Port().SetBandwidth(bytesPerSec)
 }
 
-// DegradeCopyLink clamps one replica copy's link (fail.CopyTarget).
-func (c *Cluster) DegradeCopyLink(shard, copy int, bytesPerSec float64) {
-	c.ReplicaSets[shard][copy].NIC.Port().SetBandwidth(bytesPerSec)
-}
-
-// RestoreLink returns shard i's link to the configured full bandwidth.
-func (c *Cluster) RestoreLink(shard int) {
-	c.Shards[shard].NIC.Port().SetBandwidth(c.P.LinkBandwidth)
-}
-
-// RestoreCopyLink restores one replica copy's link (fail.CopyTarget).
-func (c *Cluster) RestoreCopyLink(shard, copy int) {
-	c.ReplicaSets[shard][copy].NIC.Port().SetBandwidth(c.P.LinkBandwidth)
+// RestoreLink returns one copy's link to the configured full bandwidth.
+func (c *Cluster) RestoreLink(shard, copy int) {
+	c.Copy(shard, copy).NIC.Port().SetBandwidth(c.P.LinkBandwidth)
 }
 
 // LeafDown black-holes a leaf switch (fail.SwitchTarget): every flow
@@ -656,15 +686,6 @@ func (c *Cluster) Run() {
 
 // Go spawns a root process.
 func (c *Cluster) Go(name string, fn func(p *sim.Proc)) { c.S.Go(name, fn) }
-
-// clientFor builds the requested nas.Client by system name on node i.
-// Recognized names match the paper's figure legends.
-func (c *Cluster) clientFor(system string, i int) nas.Client {
-	if system == "DAFS" {
-		return c.DAFSClient(i, nic.Poll, dafs.Direct)
-	}
-	return c.NFSClient(i, nfsKindOf(system))
-}
 
 // nfsKindOf maps an NFS-variant legend name to its client kind.
 func nfsKindOf(system string) nfs.Kind {

@@ -1,14 +1,13 @@
 package exper
 
 import (
+	"fmt"
 	"testing"
 
 	"danas/internal/core"
-	"danas/internal/dafs"
 	"danas/internal/nas"
-	"danas/internal/nfs"
-	"danas/internal/nic"
 	"danas/internal/sim"
+	"danas/internal/stripe"
 )
 
 // TestShardedWriteKeepsReplicaSizesCoherent pins the replicated-namespace
@@ -19,21 +18,13 @@ import (
 func TestShardedWriteKeepsReplicaSizesCoherent(t *testing.T) {
 	const unit = 16 * 1024
 	mounts := []struct {
-		name  string
-		mount func(cl *Cluster) nas.Client
+		name string
+		spec MountSpec
 	}{
-		{"ODAFS", func(cl *Cluster) nas.Client {
-			return cl.StripedCachedClient(0, core.Config{BlockSize: unit, DataBlocks: 8, UseORDMA: true})
-		}},
-		{"DAFS raw", func(cl *Cluster) nas.Client {
-			return cl.StripedDAFSClient(0, nic.Poll, dafs.Direct)
-		}},
-		{"NFS hybrid", func(cl *Cluster) nas.Client {
-			return cl.StripedNFSClient(0, nfs.Hybrid)
-		}},
-		{"NFS", func(cl *Cluster) nas.Client {
-			return cl.StripedNFSClient(0, nfs.Standard)
-		}},
+		{"ODAFS", MountSpec{System: "ODAFS", Cache: &core.Config{BlockSize: unit, DataBlocks: 8}}},
+		{"DAFS raw", MountSpec{System: "DAFS"}},
+		{"NFS hybrid", MountSpec{System: "NFS hybrid"}},
+		{"NFS", MountSpec{System: "NFS"}},
 	}
 	for _, m := range mounts {
 		t.Run(m.name, func(t *testing.T) {
@@ -43,7 +34,7 @@ func TestShardedWriteKeepsReplicaSizesCoherent(t *testing.T) {
 			cfg.StripeUnit = unit
 			cl := NewCluster(cfg)
 			defer cl.Close()
-			c := m.mount(cl)
+			c := cl.Mount(0, m.spec).Client
 			const end = 5 * unit // last span lands on shard 1; shards 0 and 2 lag
 			cl.Go("app", func(p *sim.Proc) {
 				h, err := c.Create(p, "grow")
@@ -73,5 +64,133 @@ func TestShardedWriteKeepsReplicaSizesCoherent(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMountShape pins what Mount builds for every system on every fleet
+// shape: the cluster, not the spec, decides single, striped or
+// replicated. A raw mount has one session per copy of every shard,
+// shard-major and copy-minor, each NFS session on the next port; it
+// fronts them with the bare session at one shard and no replicas, one
+// stripe.Group per shard when replicated, and a stripe.Client when
+// striped. A cached mount is the core client alone.
+func TestMountShape(t *testing.T) {
+	const unit = 16 * 1024
+	specs := []MountSpec{
+		{System: "NFS"},
+		{System: "NFS pre-posting"},
+		{System: "NFS hybrid"},
+		{System: "DAFS"},
+		{System: "DAFS", Cache: &core.Config{BlockSize: unit, DataBlocks: 8}},
+		{System: "ODAFS", Cache: &core.Config{BlockSize: unit, DataBlocks: 8}},
+	}
+	for _, spec := range specs {
+		for _, shards := range []int{1, 2} {
+			for _, replicas := range []int{0, 1} {
+				name := fmt.Sprintf("%s/cached=%v/S=%d/R=%d", spec.System, spec.Cache != nil, shards, replicas)
+				t.Run(name, func(t *testing.T) {
+					checkMountShape(t, spec, shards, replicas)
+				})
+			}
+		}
+	}
+}
+
+func checkMountShape(t *testing.T, spec MountSpec, shards, replicas int) {
+	const unit = 16 * 1024
+	cfg := DefaultClusterConfig()
+	cfg.Shards = shards
+	cfg.Replicas = replicas
+	cfg.ServerCacheBlockSize = unit
+	cfg.StripeUnit = unit
+	cl := NewCluster(cfg)
+	defer cl.Close()
+	cl.CreateWarmFile("f", 4*unit)
+	firstPort := cl.nextNFSPort + 1
+	m := cl.Mount(0, spec)
+	width := replicas + 1
+
+	if spec.Cache != nil {
+		if m.Client != nas.Client(m.Cached) || m.Cached == nil {
+			t.Fatalf("cached mount's client is %T, want its *core.Client", m.Client)
+		}
+		if len(m.NFS)+len(m.DAFS)+len(m.Groups) != 0 {
+			t.Errorf("cached mount exposes %d NFS, %d DAFS sessions and %d groups, want none",
+				len(m.NFS), len(m.DAFS), len(m.Groups))
+		}
+		if l := m.Cached.Layout(); l.Shards != shards || l.Replicas != replicas {
+			t.Errorf("cached layout is %d shards x %d replicas, want %d x %d", l.Shards, l.Replicas, shards, replicas)
+		}
+		return
+	}
+
+	var sessions []nas.Client
+	for _, nc := range m.NFS {
+		sessions = append(sessions, nc)
+	}
+	for _, dc := range m.DAFS {
+		sessions = append(sessions, dc)
+	}
+	if len(sessions) != shards*width {
+		t.Fatalf("%d raw sessions, want S*(R+1) = %d", len(sessions), shards*width)
+	}
+	wantPorts := 0
+	if spec.System != "DAFS" {
+		wantPorts = len(sessions)
+		if len(m.DAFS) != 0 {
+			t.Errorf("%s mount built %d DAFS sessions", spec.System, len(m.DAFS))
+		}
+	}
+	if got := cl.nextNFSPort + 1 - firstPort; got != wantPorts {
+		t.Errorf("mount took %d NFS ports, want %d", got, wantPorts)
+	}
+	if replicas > 0 && len(m.Groups) != shards {
+		t.Errorf("%d replica groups, want one per shard (%d)", len(m.Groups), shards)
+	}
+	if replicas == 0 && len(m.Groups) != 0 {
+		t.Errorf("unreplicated mount built %d replica groups", len(m.Groups))
+	}
+	switch c := m.Client.(type) {
+	case *stripe.Client:
+		if shards == 1 {
+			t.Error("one-shard mount is striped")
+		}
+	case *stripe.Group:
+		if shards != 1 || replicas == 0 || c != m.Groups[0] {
+			t.Errorf("mount is a bare replica group at S=%d R=%d", shards, replicas)
+		}
+	default:
+		if shards != 1 || replicas != 0 || m.Client != sessions[0] {
+			t.Errorf("mount is %T at S=%d R=%d, want the bare session only at S=1 R=0", m.Client, shards, replicas)
+		}
+	}
+
+	// Session k reads k+1 times, so each copy's read count names the
+	// session that reached it: shard-major, copy-minor order.
+	cl.Go("probe", func(p *sim.Proc) {
+		for k, sess := range sessions {
+			h, err := sess.Open(p, "f")
+			if err != nil {
+				t.Errorf("session %d open: %v", k, err)
+				return
+			}
+			for r := 0; r <= k; r++ {
+				if _, err := sess.Read(p, h, 0, unit, 1); err != nil {
+					t.Errorf("session %d read: %v", k, err)
+					return
+				}
+			}
+		}
+	})
+	cl.Run()
+	for k := range sessions {
+		sh := cl.Copy(k/width, k%width)
+		reads := sh.DAFS.Reads
+		if spec.System != "DAFS" {
+			reads = sh.NFS.Reads
+		}
+		if reads != uint64(k+1) {
+			t.Errorf("shard %d copy %d served %d reads, want %d (session %d)", k/width, k%width, reads, k+1, k)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"danas/internal/core"
 	"danas/internal/metrics"
 	"danas/internal/nas"
 	"danas/internal/sim"
@@ -144,23 +143,6 @@ func FabricSweepOver(scale Scale, clientCounts []int) []FabricRow {
 		})
 }
 
-// fabricMount mounts one client machine's async client by system name,
-// sized exactly like the single-client replay cells.
-func fabricMount(cl *Cluster, system string, i, fileBlocks, dataBlocks int) nas.AsyncClient {
-	switch system {
-	case "DAFS", "ODAFS":
-		cc := cl.StripedCachedClient(i, core.Config{
-			BlockSize:  scalingBlock,
-			DataBlocks: dataBlocks,
-			Headers:    fileBlocks + 64,
-			UseORDMA:   system == "ODAFS",
-		})
-		return cc.Async(fabricDepth)
-	default:
-		return nas.NewAsync(cl.StripedNFSClient(i, nfsKindOf(system)), fabricDepth)
-	}
-}
-
 // fabricCell runs one cell: clients machines replay one shared trace
 // (the records are read-only, so the fleet shares a single buffer
 // instead of carrying a copy per client) against the sharded fleet.
@@ -179,7 +161,8 @@ func fabricCell(system string, oversub, clients int, gen trace.GenConfig) Fabric
 	name := fmt.Sprintf("fabric %s/%s/%dc", system, OversubLabel(oversub), clients)
 	acs := make([]nas.AsyncClient, clients)
 	for i := range acs {
-		acs[i] = fabricMount(cl, system, i, fileBlocks, dataBlocks)
+		// Each client is sized exactly like the single-client replay cells.
+		acs[i] = cl.Mount(i, scalingSpec(system, fileBlocks, dataBlocks)).Async(fabricDepth)
 	}
 	stagger := sim.Duration(float64(sim.Second)/gen.Rate) / sim.Duration(clients)
 	results := make([]*workload.ReplayResult, clients)

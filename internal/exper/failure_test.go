@@ -5,9 +5,7 @@ import (
 
 	"danas/internal/core"
 	"danas/internal/nas"
-	"danas/internal/nfs"
 	"danas/internal/sim"
-	"danas/internal/stripe"
 )
 
 // TestORDMAFaultAfterCrashFallsBackToRPC is the §4.2 recovery contract
@@ -25,7 +23,7 @@ func TestORDMAFaultAfterCrashFallsBackToRPC(t *testing.T) {
 	// Tiny data cache, big directory: populated blocks are evicted from
 	// the data cache but their references stay mapped, so re-reads go
 	// through ORDMA.
-	c := cl.CachedClient(0, core.Config{BlockSize: bs, DataBlocks: 2, Headers: 64, UseORDMA: true})
+	c := cl.Mount(0, MountSpec{System: "ODAFS", Cache: &core.Config{BlockSize: bs, DataBlocks: 2, Headers: 64}}).Cached
 	var n int64
 	var err error
 	cl.Go("app", func(p *sim.Proc) {
@@ -51,8 +49,8 @@ func TestORDMAFaultAfterCrashFallsBackToRPC(t *testing.T) {
 		if pre.ORDMAFaults != 0 {
 			t.Errorf("faults before crash: %d", pre.ORDMAFaults)
 		}
-		cl.Crash(0)
-		cl.Restart(0)
+		cl.Crash(0, 0)
+		cl.Restart(0, 0)
 		n, err = c.Read(p, h, 4*bs, bs, 1) // populated, evicted, stale ref
 	})
 	cl.Run()
@@ -81,11 +79,9 @@ func TestStripedClientRetriesOnlyDeadShardSpans(t *testing.T) {
 	defer cl.Close()
 	const unit = 16 * 1024 // = default ServerCacheBlockSize = stripe unit
 	cl.CreateWarmFile("f", 4*unit)
-	nc0 := cl.NFSClientForShard(0, 0, nfs.Standard)
-	nc1 := cl.NFSClientForShard(0, 1, nfs.Standard)
-	nc0.SetRetry(sim.Millisecond, 10)
-	nc1.SetRetry(sim.Millisecond, 10)
-	sc := stripe.NewClient(cl.Layout(), []nas.Client{nc0, nc1})
+	m := cl.Mount(0, MountSpec{System: "NFS"})
+	m.SetRetry(sim.Millisecond, 10)
+	nc0, nc1, sc := m.NFS[0], m.NFS[1], m.Client
 	var n int64
 	var err error
 	cl.Go("app", func(p *sim.Proc) {
@@ -94,8 +90,8 @@ func TestStripedClientRetriesOnlyDeadShardSpans(t *testing.T) {
 			t.Errorf("open: %v", oerr)
 			return
 		}
-		cl.Crash(1)
-		cl.S.After(5*sim.Millisecond, func() { cl.Restart(1) })
+		cl.Crash(1, 0)
+		cl.S.After(5*sim.Millisecond, func() { cl.Restart(1, 0) })
 		n, err = sc.Read(p, h, 0, 2*unit, 1) // one span per shard
 	})
 	cl.Run()
@@ -121,7 +117,7 @@ func TestCrashWithoutRestartFailsTyped(t *testing.T) {
 	cl := NewCluster(cfg)
 	defer cl.Close()
 	cl.CreateWarmFile("f", 64*1024)
-	nc := cl.NFSClient(0, nfs.Standard)
+	nc := cl.Mount(0, MountSpec{System: "NFS"}).NFS[0]
 	nc.SetRetry(sim.Millisecond, 2)
 	var err error
 	done := false
@@ -131,7 +127,7 @@ func TestCrashWithoutRestartFailsTyped(t *testing.T) {
 			t.Errorf("open: %v", oerr)
 			return
 		}
-		cl.Crash(0)
+		cl.Crash(0, 0)
 		_, err = nc.Read(p, h, 0, 16*1024, 1)
 		done = true
 	})

@@ -60,7 +60,7 @@ func fig3Point(system string, fileSize, block int64) (mbps, util float64) {
 	cl := NewCluster(cfg)
 	defer cl.Close()
 	cl.CreateWarmFile("stream", fileSize)
-	client := cl.clientFor(system, 0)
+	client := cl.Mount(0, MountSpec{System: system}).Client
 	node := cl.Nodes[0]
 	var res []workload.StreamResult
 	cl.Go("app", func(p *sim.Proc) {

@@ -91,12 +91,11 @@ func fig6Point(files, txns, hitPercent int, ordma bool) (float64, float64) {
 	if dataBlocks < 1 {
 		dataBlocks = 1
 	}
-	client := cl.CachedClient(0, core.Config{
+	client := cl.Mount(0, MountSpec{System: cachedSystem(ordma), Cache: &core.Config{
 		BlockSize:  4096,
 		DataBlocks: dataBlocks,
 		Headers:    4 * files, // directory maps the whole file set
-		UseORDMA:   ordma,
-	})
+	}}).Cached
 
 	pmCfg := postmark.DefaultConfig()
 	pmCfg.Files = files
@@ -114,14 +113,14 @@ func fig6Point(files, txns, hitPercent int, ordma bool) (float64, float64) {
 		if _, err := b.Run(p); err != nil {
 			panic(fmt.Sprintf("fig6: postmark warm: %v", err))
 		}
-		cl.ServerNIC.TPT.WarmTLB()
-		cl.ServerHost.CPU.MarkEpoch()
+		cl.Shards[0].NIC.TPT.WarmTLB()
+		cl.Shards[0].Host.CPU.MarkEpoch()
 		res, err := b.Run(p)
 		if err != nil {
 			panic(fmt.Sprintf("fig6: postmark run: %v", err))
 		}
 		tps = res.TxnsPerSec()
-		util = cl.ServerHost.CPU.Utilization()
+		util = cl.Shards[0].Host.CPU.Utilization()
 	})
 	cl.Run()
 	return tps, util

@@ -72,7 +72,7 @@ func fig7Point(fileSize, block int64, ordma, serverPoll bool) float64 {
 	cl := NewCluster(cfg)
 	defer cl.Close()
 	if serverPoll {
-		cl.DAFSServer.Mode = nic.Poll
+		cl.Shards[0].DAFS.Mode = nic.Poll
 	}
 	cl.CreateWarmFile("big", fileSize)
 
@@ -91,12 +91,11 @@ func fig7Point(fileSize, block int64, ordma, serverPoll bool) float64 {
 
 	clients := make([]*core.Client, 2)
 	for i := range clients {
-		clients[i] = cl.CachedClient(i, core.Config{
+		clients[i] = cl.Mount(i, MountSpec{System: cachedSystem(ordma), Cache: &core.Config{
 			BlockSize:  block,
 			DataBlocks: dataBlocks,
 			Headers:    headers,
-			UseORDMA:   ordma,
-		})
+		}}).Cached
 	}
 	pass := workload.StreamConfig{File: "big", BlockSize: appBlock, Window: 2, Passes: 1}
 	res := workload.GoMulti(cl.S, workload.MultiSpec{
@@ -107,8 +106,8 @@ func fig7Point(fileSize, block int64, ordma, serverPoll bool) float64 {
 			return err
 		},
 		AtBarrier: func() {
-			cl.ServerNIC.TPT.WarmTLB()
-			cl.ServerNIC.Port().MarkEpoch()
+			cl.Shards[0].NIC.TPT.WarmTLB()
+			cl.Shards[0].NIC.Port().MarkEpoch()
 		},
 		// Pass 2: both clients stream together; aggregate is measured.
 		Measured: func(p *sim.Proc, i int) (workload.StreamResult, error) {

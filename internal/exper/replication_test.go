@@ -7,23 +7,22 @@ import (
 	"danas/internal/core"
 	"danas/internal/dafs"
 	"danas/internal/nas"
-	"danas/internal/nfs"
-	"danas/internal/nic"
 	"danas/internal/sim"
 	"danas/internal/stripe"
 	"danas/internal/wb"
 	"danas/internal/workload"
 )
 
-// replCluster builds a one-shard replicated write-behind cluster with a
-// warm file; high water marks keep unstable writes dirty (no throttle,
+// replCluster builds a one-shard replicated write-behind cluster under
+// the given ack policy with a warm file; high water marks keep unstable writes dirty (no throttle,
 // no destage) so the failover tests control exactly what each copy
 // holds.
-func replCluster(t *testing.T, replicas int) *Cluster {
+func replCluster(t *testing.T, replicas int, ack stripe.AckPolicy) *Cluster {
 	t.Helper()
 	ccfg := DefaultClusterConfig()
 	ccfg.ServerCacheBlockSize = scalingBlock
 	ccfg.Replicas = replicas
+	ccfg.Ack = ack
 	ccfg.WriteBehind = true
 	ccfg.WBConfig = wb.Config{HighWater: 1024, LowWater: 512, MaxBatch: 8}
 	cl := NewCluster(ccfg)
@@ -37,12 +36,10 @@ func replCluster(t *testing.T, replicas int) *Cluster {
 // dies the failover drain finds each uncommitted range already pending
 // on the surviving copy and re-issues none of them.
 func TestSyncFailoverReissuesNothing(t *testing.T) {
-	cl := replCluster(t, 1)
-	dcs, groups, base := cl.ReplicatedDAFSClient(0, nic.Poll, dafs.Inline, stripe.AckSync)
-	for _, dc := range dcs {
-		dc.SetRetry(FailRTO, ReplRetries)
-	}
-	g := groups[0]
+	cl := replCluster(t, 1, stripe.AckSync)
+	m := cl.Mount(0, MountSpec{System: "DAFS", Transfer: dafs.Inline})
+	m.SetRetry(FailRTO, ReplRetries)
+	g, base := m.Groups[0], m.Client
 	data := make([]byte, scalingBlock)
 	cl.Go("app", func(p *sim.Proc) {
 		h, err := base.Open(p, "data")
@@ -56,7 +53,7 @@ func TestSyncFailoverReissuesNothing(t *testing.T) {
 				return
 			}
 		}
-		cl.Crash(0) // the primary; the replica keeps serving
+		cl.Crash(0, 0) // the primary; the replica keeps serving
 		size, err := base.Getattr(p, h)
 		if err != nil {
 			t.Errorf("getattr after primary crash: %v (failover should absorb it)", err)
@@ -84,12 +81,10 @@ func TestSyncFailoverReissuesNothing(t *testing.T) {
 // the surviving copy, so the data is durable where the clients now
 // read.
 func TestAsyncFailoverReissuesLostWrites(t *testing.T) {
-	cl := replCluster(t, 1)
-	dcs, groups, base := cl.ReplicatedDAFSClient(0, nic.Poll, dafs.Inline, stripe.AckAsync)
-	for _, dc := range dcs {
-		dc.SetRetry(FailRTO, ReplRetries)
-	}
-	g := groups[0]
+	cl := replCluster(t, 1, stripe.AckAsync)
+	m := cl.Mount(0, MountSpec{System: "DAFS", Transfer: dafs.Inline})
+	m.SetRetry(FailRTO, ReplRetries)
+	g, base := m.Groups[0], m.Client
 	data := make([]byte, scalingBlock)
 	cl.Go("app", func(p *sim.Proc) {
 		h, err := base.Open(p, "data")
@@ -99,7 +94,7 @@ func TestAsyncFailoverReissuesLostWrites(t *testing.T) {
 		}
 		// The replica is dark while the writes land: async returns on the
 		// primary's ack alone, so all four ranges exist only there.
-		cl.CrashCopy(0, 1)
+		cl.Crash(0, 1)
 		for i := 0; i < 4; i++ {
 			if _, err := base.WriteData(p, h, int64(i)*scalingBlock, data); err != nil {
 				t.Errorf("write %d: %v", i, err)
@@ -110,8 +105,8 @@ func TestAsyncFailoverReissuesLostWrites(t *testing.T) {
 		// copy gets marked dead), then swap the outage: replica back up
 		// cold, primary — and the only acknowledged copies — gone.
 		p.Sleep(50 * sim.Millisecond)
-		cl.RestartCopy(0, 1)
-		cl.Crash(0)
+		cl.Restart(0, 1)
+		cl.Crash(0, 0)
 		// Every copy is now marked dead, so this op fails typed (amnesty
 		// clears the marks rather than hanging) — but the drain has
 		// already re-issued the primary's uncommitted ranges on the
@@ -145,13 +140,13 @@ func TestAsyncFailoverReissuesLostWrites(t *testing.T) {
 // background — no timeout, no dead-marking, no waiting for the slowest
 // copy.
 func TestQuorumProgressWithSlowReplica(t *testing.T) {
-	cl := replCluster(t, 2)
-	_, groups, base := cl.ReplicatedDAFSClient(0, nic.Poll, dafs.Inline, stripe.AckQuorum)
-	g := groups[0]
+	cl := replCluster(t, 2, stripe.AckQuorum)
+	m := cl.Mount(0, MountSpec{System: "DAFS", Transfer: dafs.Inline})
+	g, base := m.Groups[0], m.Client
 	// Copy 2 serializes a block in ~16 s at this rate; a policy that
 	// waited for it would blow the elapsed bound by three orders of
 	// magnitude.
-	cl.DegradeCopyLink(0, 2, 1000)
+	cl.DegradeLink(0, 2, 1000)
 	data := make([]byte, scalingBlock)
 	var elapsed sim.Duration
 	cl.Go("app", func(p *sim.Proc) {
@@ -191,15 +186,15 @@ func TestLazyFailoverSessionRetryArmed(t *testing.T) {
 	ccfg := DefaultClusterConfig()
 	ccfg.ServerCacheBlockSize = scalingBlock
 	ccfg.Replicas = 1
+	ccfg.Ack = stripe.AckSync
 	cl := NewCluster(ccfg)
 	t.Cleanup(cl.Close)
 	cl.CreateWarmFile("data", 64*scalingBlock)
-	cc := cl.ReplicatedCachedClient(0, core.Config{
+	cc := cl.Mount(0, MountSpec{System: "ODAFS", Cache: &core.Config{
 		BlockSize:  scalingBlock,
 		DataBlocks: 64,
 		Headers:    128,
-		UseORDMA:   true,
-	}, stripe.AckSync)
+	}}).Cached
 	// Only the primary session exists yet; the replica session is
 	// mounted lazily by the first failover and must inherit this.
 	cc.SetRetry(FailRTO, ReplRetries)
@@ -214,8 +209,8 @@ func TestLazyFailoverSessionRetryArmed(t *testing.T) {
 			t.Errorf("warm read: %v", err)
 			return
 		}
-		cl.Crash(0)
-		cl.CrashCopy(0, 1)
+		cl.Crash(0, 0)
+		cl.Crash(0, 1)
 		// Primary times out, failover lazily mounts the replica session,
 		// the replica times out too (it is armed), amnesty surfaces the
 		// typed error. An unarmed lazy session would hang here and the
@@ -223,8 +218,8 @@ func TestLazyFailoverSessionRetryArmed(t *testing.T) {
 		if _, err := cc.Read(p, h, scalingBlock, scalingBlock, 1); !errors.Is(err, nas.ErrTimeout) {
 			t.Errorf("read with the whole replica set down: %v, want nas.ErrTimeout", err)
 		}
-		cl.Restart(0)
-		cl.RestartCopy(0, 1)
+		cl.Restart(0, 0)
+		cl.Restart(0, 1)
 		if _, err := cc.Read(p, h, 2*scalingBlock, scalingBlock, 1); err != nil {
 			t.Errorf("read after fleet restart: %v (amnesty must un-brick the client)", err)
 		}
@@ -247,8 +242,8 @@ func TestLazyFailoverSessionRetryArmed(t *testing.T) {
 // tracker access must stay on the cooperative scheduler's critical
 // path.
 func TestCommitStormSharedTracker(t *testing.T) {
-	cl := replCluster(t, 0)
-	nc := cl.NFSClient(0, nfs.Standard)
+	cl := replCluster(t, 0, stripe.AckSync)
+	nc := cl.Mount(0, MountSpec{System: "NFS"}).NFS[0]
 	nc.SetRetry(FailRTO, FailRetries)
 	ac := nas.NewAsync(nc, 8)
 	var res *workload.ReplayResult
@@ -272,8 +267,8 @@ func TestCommitStormSharedTracker(t *testing.T) {
 				ac.Wait(p)
 			}
 			if wave == 0 {
-				cl.Crash(0)
-				cl.Restart(0)
+				cl.Crash(0, 0)
+				cl.Restart(0, 0)
 			}
 		}
 		if err := ac.Commit(p, h, 0, 0); err != nil {

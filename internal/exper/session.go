@@ -7,7 +7,6 @@ import (
 	"danas/internal/fail"
 	"danas/internal/metrics"
 	"danas/internal/nas"
-	"danas/internal/nfs"
 	"danas/internal/obs"
 	"danas/internal/sim"
 	"danas/internal/stripe"
@@ -73,22 +72,32 @@ func AutoWBConfig(fileBlocks, shards int) wb.Config {
 	return wb.Config{HighWater: hw, LowWater: lw, MaxBatch: 16}
 }
 
-// ReplaySession is one assembled replay cell: the cluster, the async
-// client driving it, and the client-side retry accounting. Callers run
-// the replay via Replay and must Close the session.
+// ReplaySession is one assembled replay cell: the cluster, the client
+// mounted on it, and the async face driving the replay. Callers run the
+// replay via Replay and must Close the session.
 type ReplaySession struct {
 	Cluster *Cluster
-	AC      nas.AsyncClient
+	// Mount is the replaying client; its counters report the faults it
+	// absorbed, failed on, and failed over.
+	Mount *Mount
+	AC    nas.AsyncClient
 	// FileBlocks and DataBlocks are the traced footprint in cache
 	// blocks and the client cache sizing derived from it.
 	FileBlocks, DataBlocks int
 
-	tr        trace.Trace
-	retried   func() uint64
-	failovers func() uint64
-	reissued  func() uint64
-	timeouts  func() uint64
-	ob        *Observation
+	tr trace.Trace
+	ob *Observation
+}
+
+// scalingSpec is the mount the scaling and replay cells use: the cached
+// client for DAFS and ODAFS, sized to a footprint of fileBlocks with
+// dataBlocks of data cache, and raw sessions for the NFS variants.
+func scalingSpec(system string, fileBlocks, dataBlocks int) MountSpec {
+	spec := MountSpec{System: system}
+	if system == "DAFS" || system == "ODAFS" {
+		spec.Cache = &core.Config{BlockSize: scalingBlock, DataBlocks: dataBlocks, Headers: fileBlocks + 64}
+	}
+	return spec
 }
 
 // NewReplaySession builds the cluster every replay cell drives — one
@@ -103,6 +112,7 @@ func NewReplaySession(tr trace.Trace, cfg ReplayConfig) *ReplaySession {
 	if cfg.WriteBehind || cfg.Replicas > 0 || cfg.Fabric.multi() {
 		mutate = func(ccfg *ClusterConfig, fileBlocks int) {
 			ccfg.Replicas = cfg.Replicas
+			ccfg.Ack = cfg.Ack
 			ccfg.Fabric = cfg.Fabric
 			if !cfg.WriteBehind {
 				return
@@ -129,99 +139,22 @@ func NewReplaySession(tr trace.Trace, cfg ReplayConfig) *ReplaySession {
 			}
 		}
 	}
-	s := &ReplaySession{
+	m := cl.Mount(0, scalingSpec(cfg.System, fileBlocks, dataBlocks))
+	if cfg.RetryBudget > 0 {
+		m.SetRetry(cfg.RetryRTO, cfg.RetryBudget)
+		if cfg.Fabric.multi() {
+			m.SetRDMATimeout(cfg.RetryRTO)
+		}
+	}
+	return &ReplaySession{
 		Cluster:    cl,
+		Mount:      m,
+		AC:         m.Async(cfg.Depth),
 		FileBlocks: fileBlocks,
 		DataBlocks: dataBlocks,
 		tr:         tr,
 	}
-	none := func() uint64 { return 0 }
-	s.failovers, s.reissued, s.timeouts = none, none, none
-	switch cfg.System {
-	case "DAFS", "ODAFS":
-		ccfg := core.Config{
-			BlockSize:  scalingBlock,
-			DataBlocks: dataBlocks,
-			Headers:    fileBlocks + 64,
-			UseORDMA:   cfg.System == "ODAFS",
-		}
-		var cc *core.Client
-		if cfg.Replicas > 0 {
-			cc = cl.ReplicatedCachedClient(0, ccfg, cfg.Ack)
-			s.failovers = cc.Failovers
-			s.reissued = cc.Reissued
-		} else {
-			cc = cl.StripedCachedClient(0, ccfg)
-		}
-		if cfg.RetryBudget > 0 {
-			cc.SetRetry(cfg.RetryRTO, cfg.RetryBudget)
-			if cfg.Fabric.multi() {
-				cc.SetRDMATimeout(cfg.RetryRTO)
-			}
-		}
-		s.retried = func() uint64 { return cc.Retries() + cc.Stats().ORDMAFaults }
-		s.timeouts = cc.TimedOuts
-		s.AC = cc.Async(cfg.Depth)
-	default:
-		var ncs []*nfs.Client
-		var base nas.Client
-		if cfg.Replicas > 0 {
-			var groups []*stripe.Group
-			ncs, groups, base = cl.ReplicatedNFSClients(0, nfsKindOf(cfg.System), cfg.Ack)
-			s.failovers = func() uint64 {
-				var n uint64
-				for _, g := range groups {
-					n += g.Failovers
-				}
-				return n
-			}
-			s.reissued = func() uint64 {
-				var n uint64
-				for _, g := range groups {
-					n += g.Reissued
-				}
-				return n
-			}
-		} else {
-			ncs, base = cl.StripedNFSClients(0, nfsKindOf(cfg.System))
-		}
-		if cfg.RetryBudget > 0 {
-			for _, nc := range ncs {
-				nc.SetRetry(cfg.RetryRTO, cfg.RetryBudget)
-			}
-		}
-		s.retried = func() uint64 {
-			var n uint64
-			for _, nc := range ncs {
-				n += nc.Retransmits()
-			}
-			return n
-		}
-		s.timeouts = func() uint64 {
-			var n uint64
-			for _, nc := range ncs {
-				n += nc.TimedOut()
-			}
-			return n
-		}
-		s.AC = nas.NewAsync(base, cfg.Depth)
-	}
-	return s
 }
-
-// Retried counts the faults the clients absorbed transparently:
-// client-layer retransmissions plus ORDMA faults.
-func (s *ReplaySession) Retried() uint64 { return s.retried() }
-
-// Timeouts counts calls that exhausted their retry budget and failed
-// (zero without a retry budget: callers block instead of failing).
-func (s *ReplaySession) Timeouts() uint64 { return s.timeouts() }
-
-// Failovers counts serving-copy switches across the fleet; Reissued
-// counts the uncommitted ranges failover re-wrote onto surviving
-// copies. Both are zero on unreplicated sessions.
-func (s *ReplaySession) Failovers() uint64 { return s.failovers() }
-func (s *ReplaySession) Reissued() uint64  { return s.reissued() }
 
 // Close tears down the session's simulation.
 func (s *ReplaySession) Close() { s.Cluster.Close() }
@@ -318,11 +251,11 @@ func (s *ReplaySession) gauges() []obs.Gauge {
 	}
 	gs = append(gs,
 		obs.Gauge{Class: obs.GaugeRetries, Name: "client",
-			Fn: func(sim.Time) float64 { return float64(s.retried()) }},
+			Fn: func(sim.Time) float64 { return float64(s.Mount.Retries()) }},
 		obs.Gauge{Class: obs.GaugeFailovers, Name: "client",
-			Fn: func(sim.Time) float64 { return float64(s.failovers()) }},
+			Fn: func(sim.Time) float64 { return float64(s.Mount.Failovers()) }},
 		obs.Gauge{Class: obs.GaugeTimeouts, Name: "client",
-			Fn: func(sim.Time) float64 { return float64(s.timeouts()) }},
+			Fn: func(sim.Time) float64 { return float64(s.Mount.TimedOut()) }},
 		obs.Gauge{Class: obs.GaugeAsyncDepth, Name: "client",
 			Fn: func(sim.Time) float64 { return float64(s.AC.Outstanding()) }})
 	return gs

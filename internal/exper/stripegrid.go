@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"danas/internal/core"
 	"danas/internal/metrics"
 	"danas/internal/nas"
 	"danas/internal/sim"
@@ -181,7 +180,6 @@ func scalingCell(system string, clients, shards int, fileSize int64, stagger boo
 	cl.CreateWarmFile("big", fileSize)
 
 	fileBlocks := int(fileSize / scalingBlock)
-	headers := fileBlocks + 64
 	dataBlocks := int(int64(8<<20) / scalingBlock) // 8 MB of client data cache
 	if dataBlocks > fileBlocks/2 {
 		dataBlocks = fileBlocks / 2 // keep the measured pass missing locally
@@ -191,17 +189,7 @@ func scalingCell(system string, clients, shards int, fileSize int64, stagger boo
 	}
 	nodes := make([]nas.Client, clients)
 	for i := range nodes {
-		switch system {
-		case "DAFS", "ODAFS":
-			nodes[i] = cl.StripedCachedClient(i, core.Config{
-				BlockSize:  scalingBlock,
-				DataBlocks: dataBlocks,
-				Headers:    headers,
-				UseORDMA:   system == "ODAFS",
-			})
-		default:
-			nodes[i] = cl.StripedNFSClient(i, nfsKindOf(system))
-		}
+		nodes[i] = cl.Mount(i, scalingSpec(system, fileBlocks, dataBlocks)).Client
 	}
 
 	// Stagger measured-pass start offsets so client k begins k/n of the

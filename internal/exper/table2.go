@@ -68,7 +68,7 @@ func gmRTT() float64 {
 	cl := NewCluster(ClusterConfig{Clients: 1, ServerCacheBlockSize: 4096, ServerCacheBlocks: 16})
 	defer cl.Close()
 	a := cl.Nodes[0].NIC
-	b := cl.ServerNIC
+	b := cl.Shards[0].NIC
 	epA := a.NewEndpoint(77, nic.Poll)
 	epB := b.NewEndpoint(77, nic.Poll)
 	const rounds = 64
@@ -96,7 +96,7 @@ func gmBW(scale Scale) float64 {
 	cl := NewCluster(ClusterConfig{Clients: 1, ServerCacheBlockSize: 4096, ServerCacheBlocks: 16})
 	defer cl.Close()
 	a := cl.Nodes[0].NIC
-	b := cl.ServerNIC
+	b := cl.Shards[0].NIC
 	ep := b.NewEndpoint(78, nic.Poll)
 	const msgBytes = 512 * 1024
 	count := int(scale.bytes(64<<20) / msgBytes)
@@ -125,8 +125,8 @@ func gmBW(scale Scale) float64 {
 func viRTT(mode nic.NotifyMode) float64 {
 	cl := NewCluster(ClusterConfig{Clients: 1, ServerCacheBlockSize: 4096, ServerCacheBlocks: 16})
 	defer cl.Close()
-	qa, qb := vi.Connect(cl.Nodes[0].NIC, cl.ServerNIC,
-		cl.Nodes[0].NIC.AllocPort(), cl.ServerNIC.AllocPort(), mode, mode)
+	qa, qb := vi.Connect(cl.Nodes[0].NIC, cl.Shards[0].NIC,
+		cl.Nodes[0].NIC.AllocPort(), cl.Shards[0].NIC.AllocPort(), mode, mode)
 	const rounds = 64
 	var rtt sim.Duration
 	cl.Go("echo", func(p *sim.Proc) {
@@ -151,8 +151,8 @@ func viRTT(mode nic.NotifyMode) float64 {
 func viBW(scale Scale) float64 {
 	cl := NewCluster(ClusterConfig{Clients: 1, ServerCacheBlockSize: 4096, ServerCacheBlocks: 16})
 	defer cl.Close()
-	qa, qb := vi.Connect(cl.Nodes[0].NIC, cl.ServerNIC,
-		cl.Nodes[0].NIC.AllocPort(), cl.ServerNIC.AllocPort(), nic.Poll, nic.Poll)
+	qa, qb := vi.Connect(cl.Nodes[0].NIC, cl.Shards[0].NIC,
+		cl.Nodes[0].NIC.AllocPort(), cl.Shards[0].NIC.AllocPort(), nic.Poll, nic.Poll)
 	const msgBytes = 512 * 1024
 	count := int(scale.bytes(64<<20) / msgBytes)
 	if count < 4 {
@@ -181,7 +181,7 @@ func udpRTT() float64 {
 	cl := NewCluster(ClusterConfig{Clients: 1, ServerCacheBlockSize: 4096, ServerCacheBlocks: 16})
 	defer cl.Close()
 	a := cl.Nodes[0].Stack.Socket(5001)
-	b := cl.ServerStack.Socket(5001)
+	b := cl.Shards[0].Stack.Socket(5001)
 	const rounds = 64
 	var rtt sim.Duration
 	cl.Go("echo", func(p *sim.Proc) {
@@ -193,7 +193,7 @@ func udpRTT() float64 {
 	cl.Go("ping", func(p *sim.Proc) {
 		start := p.Now()
 		for i := 0; i < rounds; i++ {
-			a.SendTo(p, cl.ServerStack, 5001, 1, nil, 1, 0)
+			a.SendTo(p, cl.Shards[0].Stack, 5001, 1, nil, 1, 0)
 			a.Recv(p)
 		}
 		rtt = p.Now().Sub(start) / rounds
@@ -208,7 +208,7 @@ func udpBW(scale Scale) float64 {
 	cl := NewCluster(ClusterConfig{Clients: 1, ServerCacheBlockSize: 4096, ServerCacheBlocks: 16})
 	defer cl.Close()
 	a := cl.Nodes[0].Stack.Socket(5002)
-	b := cl.ServerStack.Socket(5002)
+	b := cl.Shards[0].Stack.Socket(5002)
 	msg := int64(cl.P.EtherMTU - 46)
 	count := int(scale.bytes(32<<20) / msg)
 	if count < 16 {
@@ -217,7 +217,7 @@ func udpBW(scale Scale) float64 {
 	var got int64
 	var done sim.Time
 	cl.Go("sink", func(p *sim.Proc) {
-		h := cl.ServerHost
+		h := cl.Shards[0].Host
 		for i := 0; i < count; i++ {
 			d := b.Recv(p)
 			h.Copy(p, d.Bytes) // socket buffer -> application buffer
@@ -227,7 +227,7 @@ func udpBW(scale Scale) float64 {
 	})
 	cl.Go("source", func(p *sim.Proc) {
 		for i := 0; i < count; i++ {
-			a.SendTo(p, cl.ServerStack, 5002, msg, nil, msg, 0)
+			a.SendTo(p, cl.Shards[0].Stack, 5002, msg, nil, msg, 0)
 		}
 	})
 	cl.Run()

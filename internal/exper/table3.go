@@ -81,7 +81,7 @@ func rawLatency(n int, mechanism string) float64 {
 	if mechanism == "inline" {
 		tm = dafs.Inline
 	}
-	client := cl.DAFSClient(0, nic.Poll, tm)
+	client := cl.Mount(0, MountSpec{System: "DAFS", Transfer: tm}).DAFS[0]
 
 	var hist metrics.Hist
 	cl.Go("bench", func(p *sim.Proc) {
@@ -100,7 +100,7 @@ func rawLatency(n int, mechanism string) float64 {
 				}
 				refs = append(refs, ref)
 			}
-			cl.ServerNIC.TPT.WarmTLB()
+			cl.Shards[0].NIC.TPT.WarmTLB()
 			for _, ref := range refs {
 				start := p.Now()
 				res := client.QP().RDMA(p, nic.Get, ref.VA, 4096, ref.Cap)
@@ -145,10 +145,9 @@ func cachedLatency(n int, mechanism string) float64 {
 		BlockSize:  4096,
 		DataBlocks: 16, // far smaller than the file: pass 2 misses locally
 		Headers:    4 * n,
-		UseORDMA:   mechanism == "ordma",
 		InlineRPC:  mechanism == "inline",
 	}
-	client := cl.CachedClient(0, ccfg)
+	client := cl.Mount(0, MountSpec{System: cachedSystem(mechanism == "ordma"), Cache: &ccfg}).Cached
 
 	var hist metrics.Hist
 	cl.Go("bench", func(p *sim.Proc) {
@@ -158,7 +157,7 @@ func cachedLatency(n int, mechanism string) float64 {
 		}
 		for pass := 0; pass < 2; pass++ {
 			if pass == 1 {
-				cl.ServerNIC.TPT.WarmTLB()
+				cl.Shards[0].NIC.TPT.WarmTLB()
 			}
 			for off := int64(0); off < fileSize; off += 4096 {
 				start := p.Now()

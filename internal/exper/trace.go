@@ -98,23 +98,17 @@ func TraceReplayOver(scale Scale, shardCounts []int) []TraceRow {
 	return g.Flat()
 }
 
-// replayCluster builds the cluster every replay cell (trace and
-// failure) drives: one client machine, the traced files striped
-// block-range across the shards and warm in every shard's cache, the
-// nfsd pool matched to the queue depth. It also returns the block
-// accounting the cached clients size themselves from — shared so the
-// failure experiment's baseline stays comparable to the trace
-// experiment's cells by construction.
-func replayCluster(tr trace.Trace, shards int) (cl *Cluster, fileBlocks, dataBlocks int) {
-	return replayClusterWith(tr, shards, nil)
-}
-
-// replayClusterWith is replayCluster with a configuration hook applied
-// before the cluster is built (the write-mix experiment arms the
-// write-behind subsystem there). The hook receives the traced
-// footprint in cache blocks — the same figure the cluster is sized
-// from, so derived knobs like water marks cannot desynchronize from
-// the cluster actually built.
+// replayClusterWith builds the cluster every replay cell drives: one
+// client machine, the traced files striped block-range across the shards
+// and warm in every shard's cache, the nfsd pool matched to the queue
+// depth. It also returns the block accounting the cached clients size
+// themselves from — shared so every replay experiment stays comparable
+// to the trace experiment's cells by construction. The optional hook
+// adjusts the configuration before the cluster is built (the write-mix
+// experiment arms the write-behind subsystem there); it receives the
+// traced footprint in cache blocks — the same figure the cluster is
+// sized from, so derived knobs like water marks cannot desynchronize
+// from the cluster actually built.
 func replayClusterWith(tr trace.Trace, shards int, mutate func(cfg *ClusterConfig, fileBlocks int)) (cl *Cluster, fileBlocks, dataBlocks int) {
 	extents := tr.Extents()
 	var footprint int64

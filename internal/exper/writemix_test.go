@@ -5,8 +5,6 @@ import (
 
 	"danas/internal/core"
 	"danas/internal/fail"
-	"danas/internal/nas"
-	"danas/internal/nfs"
 	"danas/internal/sim"
 	"danas/internal/trace"
 	"danas/internal/wb"
@@ -36,7 +34,7 @@ func TestCrashLosesUncommittedWritesAndClientRewrites(t *testing.T) {
 	// High water marks keep the writes unstable (no throttle, no
 	// destage) until the crash hits.
 	cl := wbCluster(t, wb.Config{HighWater: 1024, LowWater: 512, MaxBatch: 8})
-	nc := cl.NFSClient(0, nfs.Standard)
+	nc := cl.Mount(0, MountSpec{System: "NFS"}).NFS[0]
 	cl.Go("app", func(p *sim.Proc) {
 		h, err := nc.Open(p, "data")
 		if err != nil {
@@ -56,8 +54,8 @@ func TestCrashLosesUncommittedWritesAndClientRewrites(t *testing.T) {
 		verBefore := sh.WB.Verifier()
 		// Instantaneous reboot between the writes and the commit: the
 		// dirty ledger is discarded and the verifier rolls.
-		cl.Crash(0)
-		cl.Restart(0)
+		cl.Crash(0, 0)
+		cl.Restart(0, 0)
 		// The flusher destages concurrently with the writes' RPC round
 		// trips, so some blocks may already be on disk (or in flight to
 		// it) at crash time; at least one must still have been dirty.
@@ -111,12 +109,11 @@ func TestCommitFansOutPerShard(t *testing.T) {
 	cl := NewCluster(ccfg)
 	t.Cleanup(cl.Close)
 	cl.CreateWarmFile("data", 64*scalingBlock)
-	cc := cl.StripedCachedClient(0, core.Config{
+	cc := cl.Mount(0, MountSpec{System: "ODAFS", Cache: &core.Config{
 		BlockSize:  scalingBlock,
 		DataBlocks: 64,
 		Headers:    128,
-		UseORDMA:   true,
-	})
+	}}).Cached
 	cl.Go("app", func(p *sim.Proc) {
 		h, err := cc.Open(p, "data")
 		if err != nil {
@@ -172,11 +169,9 @@ func TestMidReplayCrashLosesUnstableWritesAndRecovers(t *testing.T) {
 		cfg.WBConfig = wb.Config{HighWater: 4096, LowWater: 1024, MaxBatch: 16}
 	})
 	defer cl.Close()
-	ncs, base := cl.StripedNFSClients(0, nfs.Standard)
-	for _, nc := range ncs {
-		nc.SetRetry(FailRTO, FailRetries)
-	}
-	ac := nas.NewAsync(base, traceDepth)
+	m := cl.Mount(0, MountSpec{System: "NFS"})
+	m.SetRetry(FailRTO, FailRetries)
+	ac := m.Async(traceDepth)
 	sched := fail.CrashRestart(0, t1, t2-t1)
 	var res *workload.ReplayResult
 	cl.Go("replay", func(p *sim.Proc) {
@@ -199,10 +194,10 @@ func TestMidReplayCrashLosesUnstableWritesAndRecovers(t *testing.T) {
 	if got := cl.Shards[0].WB.Stats().LostBlocks; got == 0 {
 		t.Error("crash mid-replay lost no uncommitted unstable writes")
 	}
-	if got := ncs[0].VerifierMismatches(); got == 0 {
+	if got := m.NFS[0].VerifierMismatches(); got == 0 {
 		t.Error("no commit detected the rolled verifier")
 	}
-	if got := ncs[0].RewrittenRanges(); got == 0 {
+	if got := m.NFS[0].RewrittenRanges(); got == 0 {
 		t.Error("no lost unstable write was re-issued")
 	}
 }

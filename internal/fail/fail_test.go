@@ -9,19 +9,20 @@ import (
 	"danas/internal/sim"
 )
 
-// recorder is a Target that logs (time, action, shard) tuples.
+// recorder is a Target that logs (time, action, victim) tuples; a
+// shard-scoped victim is its shard and copy.
 type recorder struct {
 	s   *sim.Scheduler
 	log []string
 }
 
-func (r *recorder) note(action string, shard int) {
-	r.log = append(r.log, fmt.Sprintf("%v %s %d", sim.Duration(r.s.Now()), action, shard))
+func (r *recorder) note(action string, victim ...int) {
+	r.log = append(r.log, fmt.Sprintf("%v %s %v", sim.Duration(r.s.Now()), action, victim))
 }
-func (r *recorder) Crash(shard int)                     { r.note("crash", shard) }
-func (r *recorder) Restart(shard int)                   { r.note("restart", shard) }
-func (r *recorder) DegradeLink(shard int, rate float64) { r.note("degrade", shard) }
-func (r *recorder) RestoreLink(shard int)               { r.note("restore", shard) }
+func (r *recorder) Crash(shard, copy int)                     { r.note("crash", shard, copy) }
+func (r *recorder) Restart(shard, copy int)                   { r.note("restart", shard, copy) }
+func (r *recorder) DegradeLink(shard, copy int, rate float64) { r.note("degrade", shard, copy) }
+func (r *recorder) RestoreLink(shard, copy int)               { r.note("restore", shard, copy) }
 
 func TestValidateRejectsBadSchedules(t *testing.T) {
 	cases := []struct {
@@ -54,16 +55,19 @@ func TestArmFiresInOrder(t *testing.T) {
 	sched := Merge(
 		CrashRestart(1, 10*sim.Millisecond, 20*sim.Millisecond),
 		Degrade(0, 5*sim.Millisecond, 40*sim.Millisecond, 31.25e6),
+		CrashRestartCopy(0, 2, 12*sim.Millisecond, 3*sim.Millisecond),
 	)
 	if err := sched.Arm(s, 2, rec); err != nil {
 		t.Fatalf("Arm: %v", err)
 	}
 	s.Run()
 	want := []string{
-		"5.000ms degrade 0",
-		"10.000ms crash 1",
-		"30.000ms restart 1",
-		"45.000ms restore 0",
+		"5.000ms degrade [0 0]",
+		"10.000ms crash [1 0]",
+		"12.000ms crash [0 2]",
+		"15.000ms restart [0 2]",
+		"30.000ms restart [1 0]",
+		"45.000ms restore [0 0]",
 	}
 	if !reflect.DeepEqual(rec.log, want) {
 		t.Fatalf("event log = %v, want %v", rec.log, want)
@@ -358,12 +362,12 @@ func TestArmTopoSwitchEvents(t *testing.T) {
 	}
 	s.Run()
 	want := []string{
-		"5.000ms degrade-trunk 2",
-		"10.000ms spine-down 1",
-		"15.000ms crash 0",
-		"25.000ms restart 0",
-		"30.000ms spine-up 1",
-		"45.000ms restore-trunk 2",
+		"5.000ms degrade-trunk [2]",
+		"10.000ms spine-down [1]",
+		"15.000ms crash [0 0]",
+		"25.000ms restart [0 0]",
+		"30.000ms spine-up [1]",
+		"45.000ms restore-trunk [2]",
 	}
 	if !reflect.DeepEqual(rec.log, want) {
 		t.Fatalf("event log = %v, want %v", rec.log, want)

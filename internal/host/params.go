@@ -149,7 +149,8 @@ type Params struct {
 	DiskBW   float64
 }
 
-// Default returns the calibrated parameter set described in DESIGN.md §5.
+// Default returns the parameter set calibrated against the paper's Table 2
+// and Table 3.
 func Default() *Params {
 	return &Params{
 		LinkBandwidth: 250e6,

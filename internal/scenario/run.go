@@ -177,10 +177,10 @@ func RunObserved(spec *Spec, scale exper.Scale, opts RunOpts) (*Report, error) {
 	m := Measured{
 		OpsOK:          eval.OK(),
 		OpsFailed:      eval.Failed(),
-		Retried:        sess.Retried(),
-		Timeouts:       sess.Timeouts(),
-		Failovers:      sess.Failovers(),
-		Reissued:       sess.Reissued(),
+		Retried:        sess.Mount.Retries(),
+		Timeouts:       sess.Mount.TimedOut(),
+		Failovers:      sess.Mount.Failovers(),
+		Reissued:       sess.Mount.Reissued(),
 		Stalls:         res.Stalls,
 		MaxOutstanding: res.MaxOutstanding,
 		MBps:           res.MBps(),
