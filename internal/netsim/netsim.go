@@ -18,11 +18,34 @@ import (
 // Frame is one wire fragment. Bytes counts upper-layer bytes (headers +
 // payload data); the link adds LineConfig.Overhead for preamble, CRC and
 // routing.
+//
+// A frame carries its own route state: the hop it reached and one step
+// function, bound on its first Send, that every station and timer on the
+// route calls back. A frame may be sent again once it has been delivered
+// or dropped, but not while it is in flight.
 type Frame struct {
 	From, To *Port
 	Bytes    int
 	Payload  any // opaque upper-layer context, delivered to the sink
+
+	hop  hop
+	step func() // f.advance
 }
+
+// hop is the point of the route a frame's next step starts from.
+type hop uint8
+
+const (
+	hopIdle     hop = iota // not in flight
+	hopUplink              // serialized on the source uplink
+	hopSrcLeaf             // through the source leaf's store-and-forward
+	hopUpTrunk             // serialized on the up-trunk to the spine
+	hopSpine               // through the spine hop
+	hopDnTrunk             // serialized on the spine's down-trunk
+	hopDstLeaf             // through the destination leaf's store-and-forward
+	hopDownlink            // serialized on the destination downlink
+	hopArrive              // propagated to the destination port
+)
 
 // Sink receives frames arriving at a port.
 type Sink interface {
@@ -108,50 +131,91 @@ func (p *Port) txTime(bytes int) sim.Duration {
 	return sim.TransferTime(int64(bytes+p.cfg.Overhead), p.cfg.Bandwidth)
 }
 
-// Send transmits f from p toward f.To. The frame serializes on p's uplink,
-// crosses the switch fabric (one leaf on the same-leaf path, leaf ->
-// spine -> leaf otherwise), serializes on the destination downlink, and
-// is finally handed to the destination sink. Panics if f.To is nil, or
-// if the destination has no sink — checked here, at submission, so a
-// miswired fabric fails with both port names instead of deep inside a
-// delivery callback (Fabric.Arm catches this even earlier).
+// Send transmits f from p toward f.To and stamps f.From with p. The frame
+// serializes on p's uplink, crosses the switch fabric (one leaf on the
+// same-leaf path, leaf -> spine -> leaf otherwise), serializes on the
+// destination downlink, and is finally handed to the destination sink.
+// Panics if f.To is nil, if f is still in flight, or if the destination
+// has no sink — checked here, at submission, so a miswired fabric fails
+// with both port names instead of deep inside a delivery callback
+// (Fabric.Arm catches this even earlier).
 func (p *Port) Send(f *Frame) {
 	if f.To == nil {
 		panic(fmt.Sprintf("netsim: frame from %s has no destination", p.name))
 	}
-	if f.From == nil {
-		f.From = p
+	if f.hop != hopIdle {
+		panic(fmt.Sprintf("netsim: frame from %s sent again while in flight", p.name))
 	}
-	s := p.fab.s
 	dst := f.To
 	if dst.sink == nil {
 		panic(fmt.Sprintf("netsim: port %s has no sink (frame from %s; fabric not armed?)",
 			dst.name, p.name))
 	}
+	f.From = p
+	if f.step == nil {
+		f.step = f.advance
+	}
 	p.framesOut++
 	p.bytesOut += int64(f.Bytes)
-	if p.leaf != dst.leaf {
-		p.fab.sendCrossLeaf(p, f)
-		return
+	f.hop = hopUplink
+	p.up.Serve(p.txTime(f.Bytes), f.step)
+}
+
+// advance moves f one hop along its route: each case makes the one
+// station or timer call that schedules the next hop, with f.step as its
+// continuation. A down switch on the path black-holes the frame at the
+// hop that reaches it.
+func (f *Frame) advance() {
+	src, dst := f.From, f.To
+	fab := src.fab
+	switch f.hop {
+	case hopUplink:
+		f.hop = hopSrcLeaf
+		fab.s.After(src.cfg.PropDelay+fab.topo.LeafLatency, f.step)
+	case hopSrcLeaf:
+		lf := fab.leaves[src.leaf]
+		if lf.down {
+			fab.drop(f)
+			return
+		}
+		if src.leaf == dst.leaf {
+			f.hop = hopDownlink
+			dst.down.Serve(dst.txTime(f.Bytes), f.step)
+			return
+		}
+		f.hop = hopUpTrunk
+		fab.trunkServe(lf, lf.up[fab.SpineFor(src.leaf, dst.leaf)], f)
+	case hopUpTrunk:
+		f.hop = hopSpine
+		fab.s.After(fab.topo.TrunkProp+fab.topo.SpineLatency, f.step)
+	case hopSpine:
+		sp := fab.SpineFor(src.leaf, dst.leaf)
+		if fab.spineDown[sp] {
+			fab.drop(f)
+			return
+		}
+		f.hop = hopDnTrunk
+		dl := fab.leaves[dst.leaf]
+		fab.trunkServe(dl, dl.dn[sp], f)
+	case hopDnTrunk:
+		f.hop = hopDstLeaf
+		fab.s.After(fab.topo.TrunkProp+fab.topo.LeafLatency, f.step)
+	case hopDstLeaf:
+		if fab.leaves[dst.leaf].down {
+			fab.drop(f)
+			return
+		}
+		f.hop = hopDownlink
+		dst.down.Serve(dst.txTime(f.Bytes), f.step)
+	case hopDownlink:
+		f.hop = hopArrive
+		fab.s.After(dst.cfg.PropDelay, f.step)
+	case hopArrive:
+		f.hop = hopIdle
+		dst.framesIn++
+		dst.bytesIn += int64(f.Bytes)
+		dst.sink.DeliverFrame(f)
 	}
-	lf := p.fab.leaves[p.leaf]
-	// Uplink serialization, then propagation to the switch.
-	p.up.Serve(p.txTime(f.Bytes), func() {
-		s.After(p.cfg.PropDelay+p.fab.topo.LeafLatency, func() {
-			if lf.down {
-				p.fab.dropped++
-				return
-			}
-			// Downlink serialization at the destination, then propagation.
-			dst.down.Serve(dst.txTime(f.Bytes), func() {
-				s.After(dst.cfg.PropDelay, func() {
-					dst.framesIn++
-					dst.bytesIn += int64(f.Bytes)
-					dst.sink.DeliverFrame(f)
-				})
-			})
-		})
-	})
 }
 
 // OneWayLatency returns the zero-load latency of a frame of the given size

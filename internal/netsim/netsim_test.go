@@ -136,3 +136,60 @@ func TestSendWithoutDestinationPanics(t *testing.T) {
 	}()
 	a.Send(&Frame{Bytes: 1})
 }
+
+// TestDeliveryAllocatesOnePerFrame pins the cost of routing a frame: the
+// one step function its first Send binds, beyond the caller's Frame, on
+// both the same-leaf and the cross-leaf route.
+func TestDeliveryAllocatesOnePerFrame(t *testing.T) {
+	const runs = 100
+	for _, c := range []struct {
+		name   string
+		fabric func(t *testing.T) (*sim.Scheduler, *Fabric, *Port, *Port)
+	}{
+		{"same-leaf", testFabric},
+		{"cross-leaf", testLeafSpine},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, _, a, b := c.fabric(t)
+			delivered := 0
+			b.Attach(SinkFunc(func(f *Frame) { delivered++ }))
+			frames := make([]Frame, runs+1)
+			next := 0
+			n := testing.AllocsPerRun(runs, func() {
+				f := &frames[next]
+				next++
+				f.To, f.Bytes = b, 4096
+				a.Send(f)
+				s.Run()
+			})
+			if delivered != runs+1 {
+				t.Fatalf("delivered %d frames, want %d", delivered, runs+1)
+			}
+			if n != 1 {
+				t.Fatalf("%v allocations per delivered frame, want 1", n)
+			}
+		})
+	}
+}
+
+func TestResendWhileInFlightPanics(t *testing.T) {
+	s, _, a, b := testFabric(t)
+	n := 0
+	b.Attach(SinkFunc(func(f *Frame) { n++ }))
+	f := &Frame{To: b, Bytes: 1}
+	a.Send(f)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("no panic for a frame sent again while in flight")
+			}
+		}()
+		a.Send(f)
+	}()
+	s.Run()
+	a.Send(f) // delivered frames may be sent again
+	s.Run()
+	if n != 2 {
+		t.Fatalf("delivered %d times, want 2", n)
+	}
+}

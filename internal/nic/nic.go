@@ -304,27 +304,57 @@ func (n *NIC) sendNow(m *Message) {
 			bytes = total - sent
 		}
 		sent += bytes
-		last := i == nfrags-1
-		fl := &flight{msg: m, bytes: int(bytes), last: last}
-		n.stats.FragsSent++
-		// Firmware prepares the fragment, then the DMA engine pulls it
-		// from host memory, then it serializes on the wire. ServeAt
-		// preserves pipelining across the three stations.
-		fwDone := n.fw.Serve(n.p.NICFragProcess, nil)
-		n.dma.ServeAt(fwDone, sim.TransferTime(bytes, n.p.NICDMABandwidth), func() {
-			n.port.Send(&netsim.Frame{To: m.To.port, Bytes: fl.bytes, Payload: fl})
-		})
+		n.sendFrag(m.To, n.p.NICFragProcess, &flight{msg: m, last: i == nfrags-1}, int(bytes))
 	}
 }
 
-// flight is the wire context of one fragment.
+// flight is one fragment: the wire frame and its NIC-level context. It is
+// its own frame's payload, so a fragment is one object from the sender's
+// firmware to the receiver's.
 type flight struct {
-	msg   *Message
-	bytes int
-	last  bool
-	// rdma marks fragments that belong to a get/put data stream rather
-	// than a message (see rdma.go).
-	rdma *rdmaFlight
+	netsim.Frame
+	msg  *Message
+	last bool // last fragment of its message or RDMA data stream
+	// rdma, when its op is set, marks fragments that belong to a get/put
+	// data stream rather than a message (see rdma.go).
+	rdma rdmaFlight
+
+	nic    *NIC   // the NIC whose stage runs next: sender, then receiver
+	onWire bool   // the sender's stage has run
+	next   func() // fl.advance
+}
+
+// sendFrag pushes one fragment of the given size toward to through the
+// firmware, DMA and wire pipeline. The firmware prepares the fragment for
+// fwTime, then the DMA engine pulls it from host memory, then it
+// serializes on the wire. ServeAt preserves pipelining across the three
+// stations.
+func (n *NIC) sendFrag(to *NIC, fwTime sim.Duration, fl *flight, bytes int) {
+	fl.To, fl.Bytes, fl.Payload = to.port, bytes, fl
+	fl.nic, fl.next = n, fl.advance
+	n.stats.FragsSent++
+	fwDone := n.fw.Serve(fwTime, nil)
+	n.dma.ServeAt(fwDone, sim.TransferTime(int64(bytes), n.p.NICDMABandwidth), fl.next)
+}
+
+// advance is the fragment's one continuation. On the sender it runs when
+// the DMA engine has pulled the fragment and puts it on the wire; on the
+// receiver, where DeliverFrame has handed it over, it runs when the
+// firmware is done and passes the fragment up.
+func (fl *flight) advance() {
+	n := fl.nic
+	if !fl.onWire {
+		fl.onWire = true
+		n.port.Send(&fl.Frame)
+		return
+	}
+	if fl.rdma.op != nil {
+		n.rdmaFragArrived(fl)
+		return
+	}
+	if fl.last {
+		n.msgArrived(fl.msg)
+	}
 }
 
 // DeliverFrame implements netsim.Sink: a fragment has arrived from the wire.
@@ -334,17 +364,10 @@ func (n *NIC) DeliverFrame(f *netsim.Frame) {
 		panic("nic: foreign frame payload")
 	}
 	n.stats.FragsRecv++
+	fl.nic = n
 	// DMA the fragment into host memory, then firmware bookkeeping.
-	dmaDone := n.dma.Serve(sim.TransferTime(int64(fl.bytes), n.p.NICDMABandwidth), nil)
-	n.fw.ServeAt(dmaDone, n.p.NICFragProcess, func() {
-		if fl.rdma != nil {
-			n.rdmaFragArrived(fl)
-			return
-		}
-		if fl.last {
-			n.msgArrived(fl.msg)
-		}
-	})
+	dmaDone := n.dma.Serve(sim.TransferTime(int64(fl.Bytes), n.p.NICDMABandwidth), nil)
+	n.fw.ServeAt(dmaDone, n.p.NICFragProcess, fl.next)
 }
 
 // msgArrived runs when the last fragment of a message has been placed.

@@ -3,7 +3,6 @@ package nic
 import (
 	"fmt"
 
-	"danas/internal/netsim"
 	"danas/internal/sim"
 )
 
@@ -92,10 +91,8 @@ const exceptionBytes = 32
 // rdmaFlight tags frames belonging to RDMA traffic.
 type rdmaFlight struct {
 	op        *Op    // the operation this frame belongs to
-	target    *NIC   // frame destination
 	ctrl      bool   // request/control frame (carries the Op by reference)
 	exception Status // nonzero on exception frames
-	last      bool   // last data fragment
 	ack       bool   // put acknowledgement back to the initiator
 }
 
@@ -123,17 +120,13 @@ func (n *NIC) RDMAAsync(op *Op) {
 	switch op.Kind {
 	case Get:
 		// Send a small control frame; data streams back from the target.
-		n.sendRDMAFrames(op.Target, ctrlBytes+len(op.Cap), 0, &rdmaFlight{
-			op: op, target: op.Target, ctrl: true,
-		})
+		n.sendRDMAFrames(op.Target, ctrlBytes+len(op.Cap), 0, rdmaFlight{op: op, ctrl: true})
 	case Put:
 		// Control frame immediately; the data stream after the put
 		// startup latency. The send gate releases any traffic the host
 		// posts in between (e.g. the RPC reply) together with — never
 		// ahead of — the data, preserving connection ordering.
-		n.sendRDMAFrames(op.Target, ctrlBytes+len(op.Cap), 0, &rdmaFlight{
-			op: op, target: op.Target, ctrl: true,
-		})
+		n.sendRDMAFrames(op.Target, ctrlBytes+len(op.Cap), 0, rdmaFlight{op: op, ctrl: true})
 		release := n.s.Now().Add(n.p.NICPutLatency)
 		if release > n.sendGate {
 			n.sendGate = release
@@ -148,12 +141,8 @@ func (n *NIC) RDMAAsync(op *Op) {
 
 // sendRDMAFrames pushes one small control/exception frame through the
 // firmware+DMA+wire pipeline.
-func (n *NIC) sendRDMAFrames(to *NIC, bytes int, extraFw sim.Duration, fl *rdmaFlight) {
-	n.stats.FragsSent++
-	fwDone := n.fw.Serve(n.p.NICFragProcess+extraFw, nil)
-	n.dma.ServeAt(fwDone, sim.TransferTime(int64(bytes), n.p.NICDMABandwidth), func() {
-		n.port.Send(&netsim.Frame{To: to.port, Bytes: bytes, Payload: &flight{rdma: fl, bytes: bytes}})
-	})
+func (n *NIC) sendRDMAFrames(to *NIC, bytes int, extraFw sim.Duration, r rdmaFlight) {
+	n.sendFrag(to, n.p.NICFragProcess+extraFw, &flight{rdma: r}, bytes)
 }
 
 // streamData fragments and transmits an RDMA data stream. quirkStall adds
@@ -168,21 +157,15 @@ func (n *NIC) streamData(to *NIC, length int64, op *Op, quirkStall sim.Duration)
 			bytes = length - sent
 		}
 		sent += bytes
-		last := sent >= length
-		fl := &rdmaFlight{op: op, target: to, last: last}
-		n.stats.FragsSent++
-		fwDone := n.fw.Serve(n.p.NICFragProcess+quirkStall, nil)
-		b := bytes
-		n.dma.ServeAt(fwDone, sim.TransferTime(b, n.p.NICDMABandwidth), func() {
-			n.port.Send(&netsim.Frame{To: to.port, Bytes: int(b), Payload: &flight{rdma: fl, bytes: int(b)}})
-		})
+		fl := &flight{last: sent >= length, rdma: rdmaFlight{op: op}}
+		n.sendFrag(to, n.p.NICFragProcess+quirkStall, fl, int(bytes))
 	}
 }
 
 // rdmaFragArrived handles RDMA frames after the standard receive pipeline
 // (DMA + firmware) has run.
 func (n *NIC) rdmaFragArrived(fl *flight) {
-	r := fl.rdma
+	r := &fl.rdma
 	switch {
 	case r.ctrl && r.op.Kind == Get:
 		n.serveGet(r.op)
@@ -192,7 +175,7 @@ func (n *NIC) rdmaFragArrived(fl *flight) {
 		n.completeOp(r.op, r.exception)
 	case r.ack:
 		n.completeOp(r.op, StatusOK)
-	case r.last:
+	case fl.last:
 		// Last data fragment.
 		if r.op.Kind == Get {
 			// Data arrived back at the get initiator.
@@ -202,7 +185,7 @@ func (n *NIC) rdmaFragArrived(fl *flight) {
 			// with a small ack so completion reflects remote placement.
 			n.stats.PutsServed++
 			init := r.op.initiator
-			n.sendRDMAFrames(init, exceptionBytes, 0, &rdmaFlight{op: r.op, target: init, ack: true})
+			n.sendRDMAFrames(init, exceptionBytes, 0, rdmaFlight{op: r.op, ack: true})
 		}
 	}
 }
@@ -227,8 +210,7 @@ func (n *NIC) serveGet(op *Op) {
 			if st == StatusBadCapability {
 				n.stats.CapRejects++
 			}
-			n.sendRDMAFrames(op.initiator, exceptionBytes, 0,
-				&rdmaFlight{op: op, target: op.initiator, exception: st})
+			n.sendRDMAFrames(op.initiator, exceptionBytes, 0, rdmaFlight{op: op, exception: st})
 			return
 		}
 		n.stats.GetsServed++
@@ -260,8 +242,7 @@ func (n *NIC) servePutCtrl(op *Op) {
 		if st != StatusOK {
 			op.rejected = true
 			n.stats.Exceptions++
-			n.sendRDMAFrames(op.initiator, exceptionBytes, 0,
-				&rdmaFlight{op: op, target: op.initiator, exception: st})
+			n.sendRDMAFrames(op.initiator, exceptionBytes, 0, rdmaFlight{op: op, exception: st})
 			return
 		}
 		// Accept: data fragments will be DMA'd straight into host memory

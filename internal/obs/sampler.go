@@ -101,7 +101,7 @@ type Sampler struct {
 	values   [][]float64
 	started  bool
 	stopped  bool
-	cancel   func()
+	timer    *sim.Timer
 }
 
 // NewSampler builds a sampler over gauges ticking every interval. The
@@ -133,7 +133,7 @@ func (sm *Sampler) Start() error {
 		for {
 			sm.sample(p.Now())
 			sig := sim.NewSignal(sm.s)
-			sm.cancel = sm.s.AfterCancel(sm.interval, sig.Fire)
+			sm.timer = sm.s.AfterCancel(sm.interval, sig.Fire)
 			sig.Wait(p)
 			// A Stop between the timer firing and this wakeup still
 			// ends the loop; a Stop that cancelled the timer leaves the
@@ -153,8 +153,8 @@ func (sm *Sampler) Stop(now sim.Time) {
 		return
 	}
 	sm.stopped = true
-	if sm.cancel != nil {
-		sm.cancel()
+	if sm.timer != nil {
+		sm.timer.Cancel()
 	}
 	sm.sample(now)
 }

@@ -1,5 +1,43 @@
 package sim
 
+// fifo is a slice-backed FIFO that keeps its backing array: popping
+// advances a head index, and a push that would grow the array first
+// slides the live items down once the consumed head is at least half of
+// it. A steady producer/consumer pair therefore stops allocating once the
+// array fits its peak depth.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 && 2*f.head >= len(f.buf) {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf = f.buf[:n]
+		f.head = 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+// peek returns the oldest item; the fifo must not be empty.
+func (f *fifo[T]) peek() T { return f.buf[f.head] }
+
+// pop removes and returns the oldest item; the fifo must not be empty.
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf = f.buf[:0]
+		f.head = 0
+	}
+	return v
+}
+
 // Queue is an unbounded FIFO of values with blocking receive, the
 // simulation analogue of a Go channel: message rings, request queues,
 // completion queues. Senders never block; receivers block until a value
@@ -7,8 +45,8 @@ package sim
 type Queue[T any] struct {
 	s       *Scheduler
 	name    string
-	items   []T
-	waiters []*Proc
+	items   fifo[T]
+	waiters fifo[*Proc]
 	puts    uint64
 }
 
@@ -18,7 +56,7 @@ func NewQueue[T any](s *Scheduler, name string) *Queue[T] {
 }
 
 // Len returns the number of queued values.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Puts returns the total number of values ever enqueued.
 func (q *Queue[T]) Puts() uint64 { return q.puts }
@@ -27,53 +65,45 @@ func (q *Queue[T]) Puts() uint64 { return q.puts }
 // current instant. Put may be called from a process or from a plain event
 // callback.
 func (q *Queue[T]) Put(v T) {
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.puts++
-	if len(q.waiters) > 0 {
-		p := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.s.ready(p)
+	if q.waiters.len() > 0 {
+		q.s.ready(q.waiters.pop())
 	}
 }
 
 // Get dequeues the next value, blocking p until one is available.
 func (q *Queue[T]) Get(p *Proc) T {
-	for len(q.items) == 0 {
-		q.waiters = append(q.waiters, p)
+	for q.items.len() == 0 {
+		q.waiters.push(p)
 		p.block()
 	}
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
+	v := q.items.pop()
 	// If more items remain and more receivers are parked, pass the baton so
 	// a burst of Puts wakes every eligible receiver.
-	if len(q.items) > 0 && len(q.waiters) > 0 {
-		next := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.s.ready(next)
+	if q.items.len() > 0 && q.waiters.len() > 0 {
+		q.s.ready(q.waiters.pop())
 	}
 	return v
 }
 
 // TryGet dequeues without blocking. ok is false if the queue is empty.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
 		return v, false
 	}
-	v = q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // Signal is a one-shot completion: one or more processes wait, one event
-// fires, all waiters resume. Used for I/O completions and futures.
+// fires, all waiters resume. Used for I/O completions and futures. The
+// first waiter is kept inline, so a single-waiter Wait/Fire allocates
+// nothing.
 type Signal struct {
-	s       *Scheduler
-	fired   bool
-	waiters []*Proc
+	s     *Scheduler
+	fired bool
+	first *Proc
+	more  []*Proc
 }
 
 // NewSignal creates an unfired signal.
@@ -82,16 +112,21 @@ func NewSignal(s *Scheduler) *Signal { return &Signal{s: s} }
 // Fired reports whether the signal has fired.
 func (g *Signal) Fired() bool { return g.fired }
 
-// Fire releases all current and future waiters. Firing twice is a no-op.
+// Fire releases all current and future waiters, in the order they
+// waited. Firing twice is a no-op.
 func (g *Signal) Fire() {
 	if g.fired {
 		return
 	}
 	g.fired = true
-	for _, p := range g.waiters {
+	if g.first != nil {
+		g.s.ready(g.first)
+		g.first = nil
+	}
+	for _, p := range g.more {
 		g.s.ready(p)
 	}
-	g.waiters = nil
+	g.more = nil
 }
 
 // Wait blocks p until the signal fires (returns immediately if it already
@@ -100,7 +135,11 @@ func (g *Signal) Wait(p *Proc) {
 	if g.fired {
 		return
 	}
-	g.waiters = append(g.waiters, p)
+	if g.first == nil {
+		g.first = p
+	} else {
+		g.more = append(g.more, p)
+	}
 	p.block()
 }
 

@@ -3,7 +3,15 @@
 // A Scheduler owns a virtual clock and a 4-ary min-heap of value events
 // ordered by (time, post order): events with equal timestamps fire in the
 // order they were posted, so a run is a pure function of its inputs and
-// seeds. An event either calls a function or resumes a logical process.
+// seeds. An event is one of three kinds:
+//
+//   - fn: it calls a function (After, At, AfterCancel, Station.Serve).
+//   - resume: it resumes a logical process (Go, Sleep, and every wake by
+//     a Resource, Queue or Signal).
+//   - relay: it marks the end of a process's Station.Wait job and readies
+//     that process, exactly as firing a Signal would: the process resumes
+//     in a second event at the same instant, behind the events already
+//     queued for it. The relay costs no function value and no Signal.
 //
 // A process (Proc) runs on an iter.Pull coroutine, which is reused for a
 // later process once its body returns. The event loop resumes a process
@@ -83,16 +91,21 @@ func TransferTime(n int64, bytesPerSec float64) Duration {
 }
 
 // event is one scheduled action: it resumes p when p is set and calls fn
-// otherwise. A cancelled event stays in the heap (removal would disturb
-// sibling ordering) but is skipped by the loop without advancing the clock;
-// dead, set only for AfterCancel events, says whether it was cancelled.
+// otherwise, unless seq carries the relay bit, in which case it readies p.
+// A cancelled event stays in the heap (removal would disturb sibling
+// ordering) but is skipped by the loop without advancing the clock; tm,
+// set only for AfterCancel events, says whether it was cancelled.
 type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	p    *Proc
-	dead *bool
+	at  Time
+	seq uint64 // post order << 1 | relay bit
+	fn  func()
+	p   *Proc
+	tm  *Timer
 }
+
+// relay is the seq bit of a relay event. Post order lives in the bits
+// above it, so the bit never decides the heap order.
+const relay = 1
 
 // before is the heap order: earlier time first, then earlier post.
 func (e *event) before(f *event) bool {
@@ -125,14 +138,14 @@ func (s *Scheduler) Now() Time { return s.now }
 // Events returns the number of events executed so far.
 func (s *Scheduler) Events() uint64 { return s.nEvents }
 
-// push stamps e with the next post sequence number and sifts it into the
-// heap. Panics if e is in the past.
+// push stamps e with the next post sequence number, keeping its relay
+// bit, and sifts it into the heap. Panics if e is in the past.
 func (s *Scheduler) push(e event) {
 	if e.at < s.now {
 		panic(fmt.Sprintf("sim: event posted in the past (at=%d now=%d)", e.at, s.now))
 	}
 	s.seq++
-	e.seq = s.seq
+	e.seq |= s.seq << 1
 	h := append(s.events, e)
 	i := len(h) - 1
 	for i > 0 {
@@ -198,18 +211,24 @@ func (s *Scheduler) After(d Duration, fn func()) {
 // At schedules fn at the absolute time at.
 func (s *Scheduler) At(at Time, fn func()) { s.post(at, fn) }
 
+// Timer is the handle of an AfterCancel event.
+type Timer struct{ dead bool }
+
+// Cancel suppresses the timer's event if it has not fired yet; cancelling
+// a cancelled or already-fired timer is a no-op.
+func (t *Timer) Cancel() { t.dead = true }
+
 // AfterCancel schedules fn to run d from now, like After, and returns a
-// cancel function. Cancelling before the event fires suppresses it; a
-// cancelled or already-fired event's cancel is a no-op. The timer slot
-// stays queued either way, so cancellation never perturbs the ordering
-// of unrelated same-instant events.
-func (s *Scheduler) AfterCancel(d Duration, fn func()) (cancel func()) {
+// handle that can cancel it. The timer slot stays queued either way, so
+// cancellation never perturbs the ordering of unrelated same-instant
+// events.
+func (s *Scheduler) AfterCancel(d Duration, fn func()) *Timer {
 	if d < 0 {
 		d = 0
 	}
-	dead := new(bool)
-	s.push(event{at: s.now.Add(d), fn: fn, dead: dead})
-	return func() { *dead = true }
+	t := &Timer{}
+	s.push(event{at: s.now.Add(d), fn: fn, tm: t})
+	return t
 }
 
 // Run executes events until the queue is empty. Processes blocked on
@@ -242,14 +261,17 @@ func (s *Scheduler) runUntil(limit Time) {
 			return
 		}
 		e := s.pop()
-		if e.dead != nil && *e.dead {
+		if e.tm != nil && e.tm.dead {
 			continue
 		}
 		s.now = e.at
 		s.nEvents++
-		if e.p != nil {
+		switch {
+		case e.seq&relay != 0:
+			s.ready(e.p)
+		case e.p != nil:
 			e.p.resume()
-		} else {
+		default:
 			e.fn()
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -229,7 +230,7 @@ func TestEventOrderProperty(t *testing.T) {
 		s := New()
 		defer s.Close()
 		var all []*posted // in post order
-		var cancels []func()
+		var cancels []*Timer
 		var cancelOf []*posted
 		var got, want []int
 		post := func(at Time) (*posted, func()) {
@@ -272,7 +273,7 @@ func TestEventOrderProperty(t *testing.T) {
 			case 6:
 				if len(cancels) > 0 {
 					i := int(op/64) % len(cancels)
-					cancels[i]()
+					cancels[i].Cancel()
 					if !cancelOf[i].done {
 						cancelOf[i].cancelled = true
 					}
@@ -369,5 +370,131 @@ func TestTransferTimeMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEventSize pins the heap's element size: the relay kind rides in
+// event.seq rather than in a field of its own.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 40 {
+		t.Fatalf("event is %d bytes, want 40", n)
+	}
+}
+
+// TestStationWaitRelayShape checks that Station.Wait takes the same events,
+// in the same same-instant order, as serving a job whose completion fires
+// a Signal the process waits on.
+func TestStationWaitRelayShape(t *testing.T) {
+	run := func(wait func(st *Station, p *Proc, d Duration)) ([]string, uint64) {
+		s := New()
+		defer s.Close()
+		st := NewStation(s, "cpu")
+		var log []string
+		mark := func(what string) func() {
+			return func() { log = append(log, what+"@"+Duration(s.Now()).String()) }
+		}
+		s.After(5*Microsecond, mark("before"))
+		for _, name := range []string{"a", "b"} {
+			s.Go(name, func(p *Proc) {
+				wait(st, p, 5*Microsecond)
+				mark(name)()
+				s.After(0, mark(name+"-next"))
+				wait(st, p, 0)
+				mark(name + "-again")()
+			})
+		}
+		s.Go("sleeper", func(p *Proc) {
+			p.Sleep(5 * Microsecond)
+			mark("sleeper")()
+		})
+		s.After(5*Microsecond, mark("after"))
+		s.Run()
+		return log, s.Events()
+	}
+	got, gotEvents := run(func(st *Station, p *Proc, d Duration) { st.Wait(p, d) })
+	want, wantEvents := run(func(st *Station, p *Proc, d Duration) {
+		sig := NewSignal(st.s)
+		st.Serve(d, sig.Fire)
+		sig.Wait(p)
+	})
+	if !slices.Equal(got, want) || gotEvents != wantEvents {
+		t.Fatalf("Wait ran %v in %d events, Serve+Signal ran %v in %d", got, gotEvents, want, wantEvents)
+	}
+}
+
+// TestSteadyStateAllocatesNothing pins the kernel's blocking primitives at
+// zero allocations once their backing arrays have grown to the working
+// depth: a Station.Wait, a single-waiter Signal Wait/Fire, a Queue
+// Put/Get and a contended Resource Acquire/Release.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	const runs = 100
+	cases := []struct {
+		name  string
+		setup func(s *Scheduler) (step func())
+	}{
+		{"Station.Wait", func(s *Scheduler) func() {
+			st := NewStation(s, "cpu")
+			s.Go("w", func(p *Proc) {
+				for {
+					st.Wait(p, Microsecond)
+				}
+			})
+			return func() { s.RunUntil(s.Now().Add(Microsecond)) }
+		}},
+		{"Signal", func(s *Scheduler) func() {
+			sigs := make([]Signal, runs+2)
+			for i := range sigs {
+				sigs[i].s = s
+			}
+			s.Go("w", func(p *Proc) {
+				for i := range sigs {
+					sigs[i].Wait(p)
+				}
+			})
+			next := 0
+			return func() {
+				sigs[next].Fire()
+				next++
+				s.Run()
+			}
+		}},
+		{"Queue", func(s *Scheduler) func() {
+			q := NewQueue[int](s, "q")
+			for range 2 {
+				s.Go("rx", func(p *Proc) {
+					for {
+						q.Get(p)
+					}
+				})
+			}
+			return func() {
+				for i := range 3 {
+					q.Put(i)
+				}
+				s.Run()
+			}
+		}},
+		{"Resource", func(s *Scheduler) func() {
+			r := NewResource(s, "cpu", 1)
+			for range 3 {
+				s.Go("user", func(p *Proc) {
+					for {
+						r.Use(p, Microsecond)
+					}
+				})
+			}
+			return func() { s.RunUntil(s.Now().Add(Microsecond)) }
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := New()
+			defer s.Close()
+			step := c.setup(s)
+			s.RunUntil(0)
+			if n := testing.AllocsPerRun(runs, step); n != 0 {
+				t.Fatalf("%v allocations per step, want 0", n)
+			}
+		})
 	}
 }

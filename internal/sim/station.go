@@ -28,52 +28,40 @@ func (st *Station) Name() string { return st.name }
 // Serve schedules a job of duration d and returns its completion time.
 // done (may be nil) runs at that time.
 func (st *Station) Serve(d Duration, done func()) Time {
-	if d < 0 {
-		d = 0
-	}
-	start := st.s.now
-	if st.busyUntil > start {
-		start = st.busyUntil
-	}
-	fin := start.Add(d)
-	st.busyUntil = fin
-	st.busyInt += float64(d)
-	st.jobs++
-	if done != nil {
-		st.s.At(fin, done)
-	}
-	return fin
+	return st.ServeAt(st.s.now, d, done)
 }
 
 // ServeAt is Serve for a job that only becomes ready at time ready (e.g. a
 // fragment that arrives later). Work is scheduled at max(ready, queue tail).
 func (st *Station) ServeAt(ready Time, d Duration, done func()) Time {
-	if d < 0 {
-		d = 0
-	}
-	if ready < st.s.now {
-		ready = st.s.now
-	}
-	start := ready
-	if st.busyUntil > start {
-		start = st.busyUntil
-	}
-	fin := start.Add(d)
-	st.busyUntil = fin
-	st.busyInt += float64(d)
-	st.jobs++
+	fin := st.enqueue(ready, d)
 	if done != nil {
 		st.s.At(fin, done)
 	}
 	return fin
 }
 
+// enqueue books a job of duration d, ready at time ready, behind the
+// outstanding work and returns its completion time.
+func (st *Station) enqueue(ready Time, d Duration) Time {
+	if d < 0 {
+		d = 0
+	}
+	start := max(ready, st.s.now, st.busyUntil)
+	fin := start.Add(d)
+	st.busyUntil = fin
+	st.busyInt += float64(d)
+	st.jobs++
+	return fin
+}
+
 // Wait makes process p execute a job of duration d on the station and
-// blocks until it completes — the process-style entry point.
+// blocks until it completes — the process-style entry point. The job's
+// completion is a relay event that readies p, so p resumes in the same
+// two events a Signal fired by Serve would take, with nothing allocated.
 func (st *Station) Wait(p *Proc, d Duration) {
-	sig := NewSignal(st.s)
-	st.Serve(d, sig.Fire)
-	sig.Wait(p)
+	st.s.push(event{at: st.enqueue(st.s.now, d), seq: relay, p: p})
+	p.block()
 }
 
 // BusyUntil returns the time the current backlog drains.

@@ -103,7 +103,7 @@ func Replicate(p *sim.Proc, copies []int, need int, name string,
 	sp := obs.Active(p)
 	for _, cp := range copies[1:] {
 		cp := cp
-		s.Go(fmt.Sprintf("%s-r%d", name, cp), func(wp *sim.Proc) {
+		s.Go(name, func(wp *sim.Proc) {
 			obs.Activate(wp, sp)
 			_, err := op(wp, cp)
 			finished++
