@@ -551,11 +551,16 @@ func (m *Mount) Async(depth int) nas.AsyncClient {
 // CreateWarmFile creates a synthetic file and warms the server cache with
 // it — the experiments' "file warm in the server cache" precondition —
 // then pre-warms the NIC TLB when the server is optimistic (§5.2). On a
-// sharded cluster the name is replicated to every shard (each shard
-// serves only the block ranges it owns) and every shard is warmed.
+// sharded cluster the name is replicated to every copy of every shard,
+// but each copy warms (caches, exports and TLB-loads) only the cache
+// blocks holding bytes the layout places on its shard: a block that
+// straddles a stripe-unit boundary warms on every shard owning any of its
+// bytes, and blocks the shard never serves stay cold.
 func (c *Cluster) CreateWarmFile(name string, size int64) *fsim.File {
+	l := c.Layout()
 	var first *fsim.File
-	for _, set := range c.ReplicaSets {
+	for shard, set := range c.ReplicaSets {
+		owns := func(off, n int64) bool { return l.Owns(shard, off, n) }
 		// Shard-major, copy-minor: replica copies warm right after their
 		// primary, in the same deterministic order they were built.
 		for _, sh := range set {
@@ -563,7 +568,7 @@ func (c *Cluster) CreateWarmFile(name string, size int64) *fsim.File {
 			if err != nil {
 				panic(fmt.Sprintf("exper: create warm file: %v", err))
 			}
-			sh.Cache.Warm(f)
+			sh.Cache.WarmOwned(f, owns)
 			sh.NIC.TPT.WarmTLB()
 			if first == nil {
 				first = f
@@ -664,7 +669,8 @@ func (c *Cluster) FailTopo() fail.Topo {
 
 // MarkServerEpochs restarts CPU, link, disk, and fabric-trunk
 // utilization accounting on every shard — every copy of every shard
-// when replicated (the sharded experiments' barrier action).
+// when replicated (the sharded experiments' barrier action) — after
+// loading into each NIC TLB the pages exported since its last warm-up.
 func (c *Cluster) MarkServerEpochs() {
 	for _, set := range c.ReplicaSets {
 		for _, sh := range set {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"danas/internal/core"
+	"danas/internal/host"
 	"danas/internal/nas"
 	"danas/internal/sim"
 	"danas/internal/stripe"
@@ -191,6 +192,108 @@ func checkMountShape(t *testing.T, spec MountSpec, shards, replicas int) {
 		}
 		if reads != uint64(k+1) {
 			t.Errorf("shard %d copy %d served %d reads, want %d (session %d)", k/width, k%width, reads, k+1, k)
+		}
+	}
+}
+
+// TestCreateWarmFileWarmsOwnedBlocks pins owned-block warm-up on every
+// fleet shape: each copy of shard s caches and exports exactly the cache
+// blocks holding bytes the layout places on s (a block straddling a
+// stripe-unit boundary on every shard owning any of its bytes), the
+// primaries together hold every block, and a whole-file read through a
+// striped mount finds every block it asks a primary for already warm.
+func TestCreateWarmFileWarmsOwnedBlocks(t *testing.T) {
+	const block = 16 * 1024
+	for _, shards := range []int{1, 2, 4} {
+		for _, replicas := range []int{0, 1} {
+			for _, unit := range []int64{block / 2, block, 2 * block} {
+				name := fmt.Sprintf("S=%d/R=%d/unit=%d", shards, replicas, unit)
+				t.Run(name, func(t *testing.T) {
+					checkWarmOwnership(t, shards, replicas, unit, block)
+				})
+			}
+		}
+	}
+}
+
+func checkWarmOwnership(t *testing.T, shards, replicas int, unit, block int64) {
+	size := 13*block + 5000 // a partial last block
+	cfg := DefaultClusterConfig()
+	cfg.Shards = shards
+	cfg.Replicas = replicas
+	cfg.ServerCacheBlockSize = block
+	cfg.StripeUnit = unit
+	cl := NewCluster(cfg)
+	defer cl.Close()
+	cl.CreateWarmFile("f", size)
+
+	// The expected ownership, from the spans of each block.
+	l := cl.Layout()
+	wantBlocks := make([]int, shards)
+	wantPages := make([]int, shards)
+	holders := map[int64]int{} // block offset -> primaries holding it
+	for off := int64(0); off < size; off += block {
+		n := min(block, size-off)
+		seen := map[int]bool{}
+		for _, sp := range l.Spans(off, n) {
+			if !seen[sp.Shard] {
+				seen[sp.Shard] = true
+				wantBlocks[sp.Shard]++
+				wantPages[sp.Shard] += int(host.Pages(n))
+			}
+		}
+	}
+	for s, set := range cl.ReplicaSets {
+		for cp, sh := range set {
+			if got := sh.Cache.Len(); got != wantBlocks[s] {
+				t.Errorf("shard %d copy %d caches %d blocks, owns %d", s, cp, got, wantBlocks[s])
+			}
+			if got := sh.NIC.TPT.Entries(); got != wantPages[s] {
+				t.Errorf("shard %d copy %d exports %d pages, owns %d", s, cp, got, wantPages[s])
+			}
+		}
+		f, err := set[0].FS.Lookup("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := int64(0); off < size; off += block {
+			if _, ok := set[0].Cache.Peek(f, off); ok {
+				holders[off]++
+			}
+		}
+	}
+	for off := int64(0); off < size; off += block {
+		// Without straddling blocks each block lives on exactly one
+		// primary; with them, on at most the two shards it spans.
+		if h := holders[off]; h < 1 || (unit%block == 0 && h != 1) || h > 2 {
+			t.Errorf("block at %d is cached on %d primaries", off, h)
+		}
+	}
+
+	for _, spec := range []MountSpec{
+		{System: "DAFS"},
+		{System: "NFS"},
+		{System: "ODAFS", Cache: &core.Config{BlockSize: 4096, DataBlocks: 4}},
+	} {
+		c := cl.Mount(0, spec).Client
+		cl.Go("read", func(p *sim.Proc) {
+			h, err := c.Open(p, "f")
+			if err != nil {
+				t.Errorf("%s open: %v", spec.System, err)
+				return
+			}
+			for off := int64(0); off < size; off += 4096 {
+				if _, err := c.Read(p, h, off, min(4096, size-off), 1); err != nil {
+					t.Errorf("%s read at %d: %v", spec.System, off, err)
+					return
+				}
+			}
+		})
+		cl.Run()
+	}
+	for s, sh := range cl.Shards {
+		if sh.Cache.Misses != 0 || sh.Cache.Hits == 0 {
+			t.Errorf("shard %d: %d misses, %d hits reading the warm file", s, sh.Cache.Misses, sh.Cache.Hits)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package fsim
 
 import (
-	"container/list"
 	"fmt"
 
 	"danas/internal/sim"
@@ -21,8 +20,10 @@ type CacheBlock struct {
 	Key    BlockKey
 	Len    int64
 	Export any
-	elem   *list.Element
-	dirty  bool
+	// prev and next thread the cache's LRU list through the blocks
+	// themselves (prev toward the most recently used end).
+	prev, next *CacheBlock
+	dirty      bool
 }
 
 // Dirty reports whether the block holds written data not yet destaged
@@ -42,8 +43,9 @@ type ServerCache struct {
 	disk      *Disk
 	blockSize int64
 	capacity  int // max resident blocks
-	lru       *list.List
-	blocks    map[BlockKey]*CacheBlock
+	// mru and lru are the ends of the LRU list of resident blocks.
+	mru, lru *CacheBlock
+	blocks   map[BlockKey]*CacheBlock
 
 	// OnEvict runs when a block is reclaimed (ODAFS invalidates its
 	// export segment here). OnInsert runs when a block becomes resident.
@@ -70,7 +72,6 @@ func NewServerCache(fs *FS, disk *Disk, blockSize int64, capacity int) *ServerCa
 		disk:      disk,
 		blockSize: blockSize,
 		capacity:  capacity,
-		lru:       list.New(),
 		blocks:    make(map[BlockKey]*CacheBlock),
 	}
 }
@@ -110,7 +111,7 @@ func (c *ServerCache) Get(p *sim.Proc, f *File, off int64) (*CacheBlock, bool) {
 	}
 	if b, ok := c.blocks[key]; ok {
 		c.Hits++
-		c.lru.MoveToFront(b.elem)
+		c.touch(b)
 		return b, true
 	}
 	c.Misses++
@@ -120,10 +121,16 @@ func (c *ServerCache) Get(p *sim.Proc, f *File, off int64) (*CacheBlock, bool) {
 
 // Warm makes every block of f resident without disk traffic or CPU cost —
 // the experiments' "file warm in the server cache" precondition.
-func (c *ServerCache) Warm(f *File) {
+func (c *ServerCache) Warm(f *File) { c.WarmOwned(f, func(int64, int64) bool { return true }) }
+
+// WarmOwned is Warm restricted to the blocks owns accepts: it is asked
+// about each block's byte range [off, off+n) in file order, and the
+// blocks it accepts become resident, in that order. A sharded server
+// warms only the blocks holding bytes it serves.
+func (c *ServerCache) WarmOwned(f *File, owns func(off, n int64) bool) {
 	for off := int64(0); off < f.Size(); off += c.blockSize {
 		key, l := c.align(f, off)
-		if _, ok := c.blocks[key]; !ok {
+		if _, ok := c.blocks[key]; !ok && owns(off, l) {
 			c.insert(key, l)
 		}
 	}
@@ -142,7 +149,7 @@ func (c *ServerCache) Install(f *File, off, n int64) {
 	for bo := off - off%c.blockSize; bo < end; bo += c.blockSize {
 		key, l := c.align(f, bo)
 		if b, ok := c.blocks[key]; ok {
-			c.lru.MoveToFront(b.elem)
+			c.touch(b)
 			// The write landed in the resident block's memory: refresh
 			// its extent (an extending write grows the EOF block) and
 			// let the export manager update or invalidate any live
@@ -166,15 +173,14 @@ func (c *ServerCache) Install(f *File, off, n int64) {
 // (the write-behind high-water mark bounds that growth).
 func (c *ServerCache) insert(key BlockKey, l int64) *CacheBlock {
 	b := &CacheBlock{Key: key, Len: l}
-	b.elem = c.lru.PushFront(b)
+	c.pushFront(b)
 	c.blocks[key] = b
-	for e := c.lru.Back(); len(c.blocks) > c.capacity && e != nil; {
-		victim := e.Value.(*CacheBlock)
-		e = e.Prev()
-		if victim.dirty {
-			continue
+	for victim := c.lru; len(c.blocks) > c.capacity && victim != nil; {
+		newer := victim.prev
+		if !victim.dirty {
+			c.evict(victim)
 		}
-		c.evict(victim)
+		victim = newer
 	}
 	if c.OnInsert != nil {
 		c.OnInsert(b)
@@ -183,7 +189,7 @@ func (c *ServerCache) insert(key BlockKey, l int64) *CacheBlock {
 }
 
 func (c *ServerCache) evict(b *CacheBlock) {
-	c.lru.Remove(b.elem)
+	c.unlink(b)
 	delete(c.blocks, b.Key)
 	if b.dirty {
 		b.dirty = false
@@ -194,14 +200,13 @@ func (c *ServerCache) evict(b *CacheBlock) {
 	}
 }
 
-// FlushAll evicts every resident block — the crash path: a dead server's
-// cache contents are gone, and the eviction hook invalidates each
-// block's ORDMA export so outstanding client references fault instead
-// of reading stale memory. Eviction order is irrelevant (state-only, no
-// events), so map iteration order is safe here.
+// FlushAll evicts every resident block, least recently used first — the
+// crash path: a dead server's cache contents are gone, and the eviction
+// hook invalidates each block's ORDMA export so outstanding client
+// references fault instead of reading stale memory.
 func (c *ServerCache) FlushAll() {
-	for _, b := range c.blocks {
-		c.evict(b)
+	for c.lru != nil {
+		c.evict(c.lru)
 	}
 }
 
@@ -234,13 +239,15 @@ func (c *ServerCache) MarkClean(key BlockKey) {
 // DirtyLen returns the number of resident dirty blocks.
 func (c *ServerCache) DirtyLen() int { return c.dirty }
 
-// EvictFile reclaims all blocks of a file (used to construct cold-cache and
-// partial-hit-rate experiment states).
+// EvictFile reclaims all blocks of a file, least recently used first
+// (used to construct cold-cache and partial-hit-rate experiment states).
 func (c *ServerCache) EvictFile(id FileID) {
-	for key, b := range c.blocks {
-		if key.File == id {
+	for b := c.lru; b != nil; {
+		newer := b.prev
+		if b.Key.File == id {
 			c.evict(b)
 		}
+		b = newer
 	}
 }
 
@@ -254,4 +261,36 @@ func (c *ServerCache) EvictFraction(f *File, frac float64, r *sim.Rand) {
 			c.evict(b)
 		}
 	}
+}
+
+// touch moves a resident block to the most recently used end.
+func (c *ServerCache) touch(b *CacheBlock) {
+	if b != c.mru {
+		c.unlink(b)
+		c.pushFront(b)
+	}
+}
+
+func (c *ServerCache) pushFront(b *CacheBlock) {
+	b.prev, b.next = nil, c.mru
+	if c.mru != nil {
+		c.mru.prev = b
+	} else {
+		c.lru = b
+	}
+	c.mru = b
+}
+
+func (c *ServerCache) unlink(b *CacheBlock) {
+	if b.prev != nil {
+		b.prev.next = b.next
+	} else {
+		c.mru = b.next
+	}
+	if b.next != nil {
+		b.next.prev = b.prev
+	} else {
+		c.lru = b.prev
+	}
+	b.prev, b.next = nil, nil
 }

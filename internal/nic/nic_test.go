@@ -1,7 +1,10 @@
 package nic
 
 import (
+	"container/list"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"danas/internal/host"
 	"danas/internal/netsim"
@@ -385,5 +388,197 @@ func TestExportCounts(t *testing.T) {
 	r.nb.TPT.Invalidate(seg) // idempotent
 	if r.nb.TPT.Entries() != 0 {
 		t.Fatalf("entries = %d after invalidate", r.nb.TPT.Entries())
+	}
+}
+
+// order lists the TLB's resident pages from most to least recently used,
+// checking that the backward links and the page map agree with the
+// forward walk.
+func (t *tlb) order(tb testing.TB) []uint64 {
+	tb.Helper()
+	var out []uint64
+	prev := int32(nilSlot)
+	for i := t.head; i != nilSlot; i = t.slots[i].next {
+		if t.slots[i].prev != prev {
+			tb.Fatalf("slot %d: prev %d, want %d", i, t.slots[i].prev, prev)
+		}
+		if j, ok := t.m[t.slots[i].pg]; !ok || j != i {
+			tb.Fatalf("page %d: map slot %d (present %v), list slot %d", t.slots[i].pg, j, ok, i)
+		}
+		out = append(out, t.slots[i].pg)
+		prev = i
+	}
+	if t.tail != prev {
+		tb.Fatalf("tail %d, want %d", t.tail, prev)
+	}
+	if len(out) != len(t.m) {
+		tb.Fatalf("list holds %d pages, map %d", len(out), len(t.m))
+	}
+	return out
+}
+
+// warmRig exports pages in segments of the given page counts, invalidates
+// the segments at the listed indexes and warms a TLB of the given size.
+// It returns the TLB's resident pages (MRU first) and every exported page
+// still mapped, in export order.
+func warmRig(t *testing.T, size int, segPages []int64, invalid []int) (resident, mapped []uint64) {
+	t.Helper()
+	r := newRig(t)
+	r.nb.tlb = newTLB(size)
+	var segs []*Segment
+	for _, n := range segPages {
+		segs = append(segs, r.nb.TPT.Export(n*host.PageSize))
+	}
+	for _, i := range invalid {
+		r.nb.TPT.Invalidate(segs[i])
+	}
+	r.nb.TPT.WarmTLB()
+	for _, seg := range segs {
+		for pg := pageOf(seg.VA); seg.Valid() && pg < pageOf(seg.VA)+uint64(host.Pages(seg.Len)); pg++ {
+			mapped = append(mapped, pg)
+		}
+	}
+	return r.nb.tlb.order(t), mapped
+}
+
+// TestWarmTLBDeterministic pins WarmTLB's loading order with a TLB far
+// smaller than the exported page count: every fresh build leaves the same
+// resident set, and it is the one loading pages in ascending order
+// predicts — the last size exported pages, the newest most recently used.
+func TestWarmTLBDeterministic(t *testing.T) {
+	const size = 8
+	segPages := []int64{3, 1, 4, 1, 5, 9, 2, 6}
+	invalid := []int{6} // a hole among the newest pages is skipped
+	first, mapped := warmRig(t, size, segPages, invalid)
+	want := slices.Clone(mapped[len(mapped)-size:])
+	slices.Reverse(want)
+	if !slices.Equal(first, want) {
+		t.Fatalf("resident (MRU first) %v, want %v", first, want)
+	}
+	for build := 1; build < 24; build++ {
+		if got, _ := warmRig(t, size, segPages, invalid); !slices.Equal(got, first) {
+			t.Fatalf("build %d: resident %v, first build %v", build, got, first)
+		}
+	}
+}
+
+// TestWarmTLBLoadsOnlyNewExports checks the watermark: a second WarmTLB
+// with nothing newly exported changes nothing, and one after further
+// exports loads just those pages, leaving earlier ones where they were.
+func TestWarmTLBLoadsOnlyNewExports(t *testing.T) {
+	r := newRig(t)
+	r.nb.tlb = newTLB(16)
+	a := r.nb.TPT.Export(4 * host.PageSize)
+	r.nb.TPT.WarmTLB()
+	// Touch a's first page so the TLB order is no longer export order.
+	r.nb.tlb.touch(pageOf(a.VA))
+	before := r.nb.tlb.order(t)
+	r.nb.TPT.WarmTLB()
+	if got := r.nb.tlb.order(t); !slices.Equal(got, before) {
+		t.Fatalf("idle WarmTLB reordered the TLB: %v, was %v", got, before)
+	}
+	b := r.nb.TPT.Export(2 * host.PageSize)
+	r.nb.TPT.WarmTLB()
+	want := append([]uint64{pageOf(b.VA) + 1, pageOf(b.VA)}, before...)
+	if got := r.nb.tlb.order(t); !slices.Equal(got, want) {
+		t.Fatalf("after exporting b: %v, want %v", got, want)
+	}
+}
+
+// refTLB is the container/list LRU the slot-array tlb replaced, kept as
+// the reference model.
+type refTLB struct {
+	size int
+	ll   *list.List
+	m    map[uint64]*list.Element
+}
+
+func (t *refTLB) touch(pg uint64) bool {
+	if e, ok := t.m[pg]; ok {
+		t.ll.MoveToFront(e)
+		return true
+	}
+	t.m[pg] = t.ll.PushFront(pg)
+	for t.ll.Len() > t.size {
+		back := t.ll.Back()
+		t.ll.Remove(back)
+		delete(t.m, back.Value.(uint64))
+	}
+	return false
+}
+
+func (t *refTLB) evict(pg uint64) {
+	if e, ok := t.m[pg]; ok {
+		t.ll.Remove(e)
+		delete(t.m, pg)
+	}
+}
+
+func (t *refTLB) order() []uint64 {
+	var out []uint64
+	for e := t.ll.Front(); e != nil; e = e.Next() {
+		out = append(out, e.Value.(uint64))
+	}
+	return out
+}
+
+// TestTLBMatchesReferenceLRU drives the tlb and the reference model with
+// random touch/evict sequences over a small page space, so hits, misses,
+// capacity evictions and shoot-downs all occur, and compares every answer,
+// the length and the full MRU-to-LRU order (hence every victim) after
+// every operation.
+func TestTLBMatchesReferenceLRU(t *testing.T) {
+	prop := func(sizeSeed uint8, ops []uint8) bool {
+		size := int(sizeSeed % 9) // 0 (always miss) .. 8
+		got := newTLB(size)
+		ref := &refTLB{size: size, ll: list.New(), m: make(map[uint64]*list.Element)}
+		for i, op := range ops {
+			pg := uint64(op % 16)
+			if op&0xc0 == 0xc0 { // a quarter of the ops shoot a page down
+				got.evict(pg)
+				ref.evict(pg)
+			} else if h, w := got.touch(pg), ref.touch(pg); h != w {
+				t.Logf("op %d touch(%d): hit=%v, reference %v", i, pg, h, w)
+				return false
+			}
+			if g, w := got.order(t), ref.order(); got.len() != ref.ll.Len() || !slices.Equal(g, w) {
+				t.Logf("op %d: order %v (len %d), reference %v", i, g, got.len(), w)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTLBAllocatesNothing pins the TLB's steady state at zero
+// allocations: a hit, and a miss that evicts the LRU entry and reuses
+// its slot.
+func TestTLBAllocatesNothing(t *testing.T) {
+	const size = 64
+	tl := newTLB(size)
+	next := uint64(0)
+	for ; next < 4*size; next++ {
+		tl.touch(next)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if tl.touch(next) {
+			t.Fatal("fresh page hit")
+		}
+		next++
+	}); n != 0 {
+		t.Errorf("evicting miss: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if !tl.touch(next - 1) {
+			t.Fatal("resident page missed")
+		}
+	}); n != 0 {
+		t.Errorf("hit: %v allocs, want 0", n)
+	}
+	if tl.len() != size {
+		t.Fatalf("len %d, want %d", tl.len(), size)
 	}
 }

@@ -1,7 +1,6 @@
 package nic
 
 import (
-	"container/list"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -36,6 +35,7 @@ type TPT struct {
 	nic     *NIC
 	pages   map[uint64]*Segment // page number -> owning segment
 	nextVA  uint64
+	warmVA  uint64 // WarmTLB has loaded every export below this address
 	nextGen uint64
 	key     []byte // HMAC key for capabilities
 	// UseCapabilities enables capability verification on every ORDMA
@@ -48,6 +48,7 @@ func newTPT(n *NIC) *TPT {
 		nic:    n,
 		pages:  make(map[uint64]*Segment),
 		nextVA: 1 << 20, // leave page 0 unmapped
+		warmVA: 1 << 20,
 		key:    []byte("danas-tpt-" + n.name),
 	}
 }
@@ -118,14 +119,21 @@ func (t *TPT) Unlock(seg *Segment) {
 // Entries returns the number of exported pages (for tests and reporting).
 func (t *TPT) Entries() int { return len(t.pages) }
 
-// WarmTLB preloads every exported page's translation into the NIC TLB at
-// no cost — the experiment-setup step the paper uses to ensure RDMA
-// "always hits in the NIC TLB" (§5.2). Pages beyond TLB capacity simply
-// evict earlier ones; size the TLB to the working set first.
+// WarmTLB preloads, at no cost and in ascending page order, the
+// translations of every page exported since the previous call and still
+// exported — the experiment-setup step the paper uses to ensure RDMA
+// "always hits in the NIC TLB" (§5.2). Export addresses only grow, so a
+// watermark finds the new pages: a call costs the pages exported since
+// the last one, not the whole table, and a call with nothing new exported
+// changes nothing. Pages beyond TLB capacity evict earlier ones, oldest
+// export first; size the TLB to the working set first.
 func (t *TPT) WarmTLB() {
-	for pg := range t.pages {
-		t.nic.tlb.touch(pg)
+	for pg := pageOf(t.warmVA); pg < pageOf(t.nextVA); pg++ {
+		if _, ok := t.pages[pg]; ok {
+			t.nic.tlb.touch(pg)
+		}
 	}
+	t.warmVA = t.nextVA
 }
 
 // lookup finds the segment covering [va, va+len). It returns a fault
@@ -169,37 +177,95 @@ func (t *TPT) lookup(va uint64, length int64, cap []byte) (*Segment, Status) {
 // tlb is the NIC's on-board translation cache. Pages with translations
 // loaded here are treated as pinned and locked by the host OS (§4.1), so a
 // hit guarantees residency; a miss costs a host interrupt plus a PIO reload.
+//
+// The LRU list is threaded by index through a slot array, so the table
+// holds no pointers for the GC to scan, and once the slots have grown to
+// capacity a miss allocates nothing: it reuses the victim's slot.
 type tlb struct {
-	size int
-	ll   *list.List               // front = most recently used; values are page numbers
-	m    map[uint64]*list.Element // page -> list element
+	size  int
+	slots []tlbSlot
+	m     map[uint64]int32 // page -> slot
+	head  int32            // most recently used slot; nilSlot when empty
+	tail  int32            // least recently used slot
+	free  int32            // first unused slot, chained through next
 }
+
+type tlbSlot struct {
+	pg         uint64
+	prev, next int32
+}
+
+const nilSlot = -1
 
 func newTLB(size int) *tlb {
-	return &tlb{size: size, ll: list.New(), m: make(map[uint64]*list.Element)}
+	return &tlb{size: size, m: make(map[uint64]int32), head: nilSlot, tail: nilSlot, free: nilSlot}
 }
 
-// touch returns true on hit; on miss it loads the page, evicting LRU
-// entries beyond capacity.
+// touch returns true on hit; on miss it loads the page, evicting the LRU
+// entry when at capacity.
 func (t *tlb) touch(pg uint64) bool {
-	if e, ok := t.m[pg]; ok {
-		t.ll.MoveToFront(e)
+	if i, ok := t.m[pg]; ok {
+		if i != t.head {
+			t.unlink(i)
+			t.pushFront(i)
+		}
 		return true
 	}
-	t.m[pg] = t.ll.PushFront(pg)
-	for t.ll.Len() > t.size {
-		back := t.ll.Back()
-		t.ll.Remove(back)
-		delete(t.m, back.Value.(uint64))
+	if t.size <= 0 {
+		return false
 	}
+	if len(t.m) >= t.size {
+		t.drop(t.tail)
+	}
+	i := t.free
+	if i != nilSlot {
+		t.free = t.slots[i].next
+	} else {
+		i = int32(len(t.slots))
+		t.slots = append(t.slots, tlbSlot{})
+	}
+	t.slots[i].pg = pg
+	t.pushFront(i)
+	t.m[pg] = i
 	return false
 }
 
 func (t *tlb) evict(pg uint64) {
-	if e, ok := t.m[pg]; ok {
-		t.ll.Remove(e)
-		delete(t.m, pg)
+	if i, ok := t.m[pg]; ok {
+		t.drop(i)
 	}
 }
 
-func (t *tlb) len() int { return t.ll.Len() }
+// drop unloads the page in slot i and returns the slot to the free list.
+func (t *tlb) drop(i int32) {
+	t.unlink(i)
+	delete(t.m, t.slots[i].pg)
+	t.slots[i].next = t.free
+	t.free = i
+}
+
+func (t *tlb) len() int { return len(t.m) }
+
+func (t *tlb) pushFront(i int32) {
+	t.slots[i].prev, t.slots[i].next = nilSlot, t.head
+	if t.head != nilSlot {
+		t.slots[t.head].prev = i
+	} else {
+		t.tail = i
+	}
+	t.head = i
+}
+
+func (t *tlb) unlink(i int32) {
+	s := &t.slots[i]
+	if s.prev != nilSlot {
+		t.slots[s.prev].next = s.next
+	} else {
+		t.head = s.next
+	}
+	if s.next != nilSlot {
+		t.slots[s.next].prev = s.prev
+	} else {
+		t.tail = s.prev
+	}
+}

@@ -94,6 +94,25 @@ func (l Layout) ShardOf(off int64) int {
 	return int((off / l.Unit) % int64(l.Shards))
 }
 
+// Owns reports whether shard holds any byte of [off, off+n): whether
+// some stripe unit the range touches maps to it. It is ShardOf arithmetic
+// over the range's first and last units, so it allocates nothing and
+// costs the same for any n. n <= 0 owns nothing.
+func (l Layout) Owns(shard int, off, n int64) bool {
+	if n <= 0 || shard < 0 || shard >= l.Shards {
+		return false
+	}
+	if l.Shards == 1 {
+		return true
+	}
+	first, last := off/l.Unit, (off+n-1)/l.Unit
+	// Units first..last land on shards first mod S, first+1 mod S, ...:
+	// shard is among them when its distance past first's shard is
+	// within the range's unit count.
+	s := int64(l.Shards)
+	return (int64(shard)-first%s+s)%s <= last-first
+}
+
 // Span is one contiguous byte range owned by a single shard.
 type Span struct {
 	Shard int

@@ -248,3 +248,71 @@ func TestClientWriteDataSplitsPayload(t *testing.T) {
 		t.Errorf("total written = %d, want 40", total)
 	}
 }
+
+func TestLayoutOwns(t *testing.T) {
+	four := Layout{Shards: 4, Unit: 16}
+	for _, tc := range []struct {
+		name   string
+		layout Layout
+		off, n int64
+		want   []int // the owning shards
+	}{
+		{"single owns everything", Single(), 1 << 40, 4096, []int{0}},
+		{"single, empty range", Single(), 0, 0, nil},
+		{"one aligned unit", four, 32, 16, []int{2}},
+		{"sub-unit", four, 52, 4, []int{3}},
+		{"straddles two units", four, 8, 16, []int{0, 1}},
+		{"straddles into the wrap", four, 56, 16, []int{3, 0}},
+		{"three units", four, 12, 28, []int{0, 1, 2}},
+		{"at least S units", four, 5, 64, []int{0, 1, 2, 3}},
+		{"last partial block", four, 48, 5, []int{3}},
+		{"empty", four, 16, 0, nil},
+		{"negative", four, 16, -4, nil},
+	} {
+		for shard := -1; shard <= tc.layout.Shards; shard++ {
+			want := false
+			for _, s := range tc.want {
+				want = want || s == shard
+			}
+			if got := tc.layout.Owns(shard, tc.off, tc.n); got != want {
+				t.Errorf("%s: Owns(%d, %d, %d) = %v, want %v", tc.name, shard, tc.off, tc.n, got, want)
+			}
+		}
+	}
+}
+
+// TestOwnsAgreesWithSpans checks Owns against the spans it summarizes: a
+// shard owns a range exactly when one of the range's spans lands on it.
+func TestOwnsAgreesWithSpans(t *testing.T) {
+	for _, l := range []Layout{{Shards: 3, Unit: 8}, {Shards: 4, Unit: 5}, {Shards: 2, Unit: 1}} {
+		for off := int64(0); off < 50; off += 3 {
+			for n := int64(1); n < 40; n += 2 {
+				var want [4]bool
+				for _, sp := range l.Spans(off, n) {
+					want[sp.Shard] = true
+				}
+				for s := 0; s < l.Shards; s++ {
+					if got := l.Owns(s, off, n); got != want[s] {
+						t.Fatalf("%+v: Owns(%d, %d, %d) = %v, spans say %v", l, s, off, n, got, want[s])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestOwnsAllocatesNothing(t *testing.T) {
+	l := Layout{Shards: 8, Unit: 16384}
+	var off, owned int64
+	if n := testing.AllocsPerRun(1000, func() {
+		if l.Owns(int(off%8), off, 16384) {
+			owned++
+		}
+		off += 8192
+	}); n != 0 {
+		t.Errorf("Owns: %v allocs, want 0", n)
+	}
+	if owned == 0 {
+		t.Fatal("no range owned")
+	}
+}
