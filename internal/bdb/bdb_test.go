@@ -13,6 +13,7 @@ import (
 	"danas/internal/netsim"
 	"danas/internal/nic"
 	"danas/internal/sim"
+	"danas/internal/stripe"
 )
 
 type rig struct {
@@ -37,9 +38,9 @@ func newRig(t *testing.T) *rig {
 	srv := dafs.NewServer(s, sn, fs, sc, true)
 	ch := host.New(s, "client", p)
 	cn := nic.New(ch, fab.AddPort("client", cfg))
-	cl := core.NewClient(s, cn, srv, nic.Poll, core.Config{
+	cl := core.NewClient(s, cn, [][]*dafs.Server{{srv}}, nic.Poll, core.Config{
 		BlockSize: 16 * 1024, DataBlocks: 256, Headers: 8192, UseORDMA: true,
-	})
+	}, stripe.Single(), stripe.AckSync)
 	return &rig{s: s, fs: fs, client: cl, ch: ch}
 }
 
@@ -196,9 +197,9 @@ func TestPrefetchReducesLatency(t *testing.T) {
 		srv := dafs.NewServer(s, sn, fs, sc, true)
 		ch := host.New(s, "client", p)
 		cn := nic.New(ch, fab.AddPort("client", cfg))
-		cl := core.NewClient(s, cn, srv, nic.Poll, core.Config{
+		cl := core.NewClient(s, cn, [][]*dafs.Server{{srv}}, nic.Poll, core.Config{
 			BlockSize: 16 * 1024, DataBlocks: 8, Headers: 8192, UseORDMA: true,
-		})
+		}, stripe.Single(), stripe.AckSync)
 		return &rig{s: s, fs: fs, client: cl, ch: ch}
 	}
 	build := func() (*rig, []Entry) {

@@ -21,17 +21,19 @@
 // The same cache layer with ORDMA disabled is the plain cached-DAFS client
 // the paper compares against in Table 3, Figure 6 and Figure 7.
 //
-// The client also scales past one server: NewStripedClient mounts the
-// same cache over a fleet of DAFS servers striped by block range
-// (internal/stripe). There is still a single client-side block cache; the
-// reference directory partitions into per-shard directories by
-// construction, because a block's offset statically determines the shard
-// whose export space its reference points into, so every ORDMA get is
-// issued on the owning shard's session.
+// One constructor, NewClient, mounts the cache over a fleet of DAFS
+// servers: striped by block range and optionally replicated
+// (internal/stripe), one server being the one-shard, one-copy fleet.
+// There is still a single client-side block cache; the reference
+// directory partitions into per-shard directories by construction,
+// because a block's offset statically determines the shard whose export
+// space its reference points into, so every ORDMA get is issued on the
+// owning shard's serving session. Each shard's copies sit behind a
+// stripe.ReplicaSet, the same failover state machine the raw replicated
+// clients use.
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"danas/internal/cache"
@@ -84,10 +86,19 @@ type Stats struct {
 // Client is the cached (O)DAFS client: one block cache fronting one DAFS
 // session per shard — per serving copy when the shards are replicated.
 type Client struct {
-	// inners holds each shard's serving session: with replication it is
-	// re-pointed on failover, so every read/stat path that indexes it
-	// follows the serving copy without knowing about replication.
-	inners []*dafs.Client
+	// inners[shard][copy] is each copy's DAFS session (copy 0 the
+	// primary). Primaries mount at construction; replicas mount cold at
+	// first use (session), with retry armed from the stored config — a
+	// session that cannot time out can never trigger failover.
+	inners  [][]*dafs.Client
+	servers [][]*dafs.Server
+	// sets[shard] is the shard's replica-set state machine, which picks
+	// the serving copy, fails over and re-issues; width 1 when
+	// unreplicated. Its failover count doubles as the shard's reference
+	// epoch: failover voids every reference into the dead copy's export
+	// space (its VAs may alias different blocks on the survivor), so
+	// ORDMA re-establishes cold over RPC.
+	sets   []*stripe.ReplicaSet
 	layout stripe.Layout
 	h      *host.Host
 	c      *cache.Cache
@@ -105,34 +116,15 @@ type Client struct {
 
 	stats Stats
 
-	// Replication state, nil/zero on unreplicated clients (every path
-	// below then behaves exactly as before). sessions[shard][copy] is
-	// the per-copy DAFS session, mounted lazily — replicas connect cold
-	// at the first replicated write or at failover — with retry armed at
-	// construction from the stored config (a session that cannot time
-	// out can never trigger failover).
+	// What session needs to mount a replica lazily.
 	s         *sim.Scheduler
 	clientNIC *nic.NIC
 	mode      nic.NotifyMode
 	transfer  dafs.TransferMode
-	servers   [][]*dafs.Server
-	sessions  [][]*dafs.Client
-	serving   []int
-	deadCopy  [][]bool
-	policy    stripe.AckPolicy
-	// refEpoch[shard] stamps directory references with the serving
-	// copy's incarnation: failover bumps it, voiding every reference
-	// into the dead copy's export space (its VAs may alias different
-	// blocks on the survivor), so ORDMA re-establishes cold over RPC.
-	refEpoch []uint64
 
 	retryTimeout sim.Duration
 	retryBudget  int
 	rdmaTimeout  sim.Duration
-
-	failovers   uint64
-	reissued    uint64
-	replicaErrs uint64
 }
 
 // inflightFetch is one in-progress block fetch on the coalescing table.
@@ -143,28 +135,31 @@ type inflightFetch struct {
 
 var _ nas.Client = (*Client)(nil)
 
-// NewClient mounts a cached client on clientNIC against a single srv. For
-// ODAFS semantics the server must have been created optimistic; a
-// non-optimistic server simply never piggybacks references, so UseORDMA
-// degenerates to DAFS (every miss is an RPC).
-func NewClient(s *sim.Scheduler, clientNIC *nic.NIC, srv *dafs.Server, mode nic.NotifyMode, cfg Config) *Client {
-	return NewStripedClient(s, clientNIC, []*dafs.Server{srv}, mode, cfg, stripe.Single())
-}
-
-// NewStripedClient mounts a cached client over one DAFS server per layout
-// shard. Block fetches route to the shard owning the block's offset; the
-// client cache is shared across shards, and a remote reference installed
-// from shard i's reply is only ever exercised against shard i because the
-// layout is static.
-func NewStripedClient(s *sim.Scheduler, clientNIC *nic.NIC, srvs []*dafs.Server, mode nic.NotifyMode, cfg Config, layout stripe.Layout) *Client {
+// NewClient mounts a cached client on clientNIC over a fleet of DAFS
+// servers, servers[shard][copy]: one replica set of layout.Width()
+// copies per layout shard, copy 0 the primary. It is the only cached-
+// client constructor; a single server is servers [][]*dafs.Server{{srv}}
+// under stripe.Single(). For ODAFS semantics the servers must have been
+// created optimistic; a non-optimistic server simply never piggybacks
+// references, so UseORDMA degenerates to DAFS (every miss is an RPC).
+//
+// Block fetches route to the shard owning the block's offset; the client
+// cache is shared across shards, and a remote reference installed from
+// shard i's reply is only ever exercised against shard i because the
+// layout is static. Only the primaries are mounted eagerly. Writes reach
+// every live copy of the owning shard under the ack policy; when retry
+// against a serving copy exhausts, the shard fails over to the next live
+// copy, re-issuing uncommitted ranges there and voiding the dead copy's
+// ORDMA references by epoch.
+func NewClient(s *sim.Scheduler, clientNIC *nic.NIC, servers [][]*dafs.Server, mode nic.NotifyMode, cfg Config, layout stripe.Layout, policy stripe.AckPolicy) *Client {
 	if cfg.BlockSize <= 0 || cfg.DataBlocks <= 0 {
 		panic("core: config needs positive block size and data capacity")
 	}
 	if err := layout.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if len(srvs) != layout.Shards {
-		panic(fmt.Sprintf("core: %d servers for %d shards", len(srvs), layout.Shards))
+	if len(servers) != layout.Shards {
+		panic(fmt.Sprintf("core: %d servers for %d shards", len(servers), layout.Shards))
 	}
 	if layout.Shards > 1 && layout.Unit%cfg.BlockSize != 0 {
 		panic(fmt.Sprintf("core: stripe unit %d not a multiple of cache block size %d", layout.Unit, cfg.BlockSize))
@@ -180,15 +175,12 @@ func NewStripedClient(s *sim.Scheduler, clientNIC *nic.NIC, srvs []*dafs.Server,
 	if cfg.InlineRPC {
 		transfer = dafs.Inline
 	}
-	inners := make([]*dafs.Client, len(srvs))
-	for i, srv := range srvs {
-		inners[i] = dafs.NewClient(s, clientNIC, srv, mode, transfer)
-	}
-	return &Client{
-		inners:      inners,
+	c := &Client{
+		inners:      make([][]*dafs.Client, len(servers)),
+		servers:     servers,
+		sets:        make([]*stripe.ReplicaSet, len(servers)),
 		layout:      layout,
 		h:           clientNIC.Host(),
-		c:           cache.New(cfg.BlockSize, cfg.DataBlocks, cfg.Headers, opts...),
 		cfg:         cfg,
 		delegations: make(map[string][]*nas.Handle),
 		inflight:    make(map[cache.Key]*inflightFetch),
@@ -197,52 +189,26 @@ func NewStripedClient(s *sim.Scheduler, clientNIC *nic.NIC, srvs []*dafs.Server,
 		mode:        mode,
 		transfer:    transfer,
 	}
-}
-
-// NewReplicatedClient mounts a cached client over a replicated fleet:
-// servers[shard][copy] with copy 0 the primary, matching
-// layout.Width(). Only the primaries are mounted eagerly — the client
-// behaves exactly like NewStripedClient over them until a replicated
-// write or a failover touches a replica. Writes reach every live copy
-// of the owning shard under the ack policy; when retry against a
-// serving copy exhausts, the shard fails over to the next live copy,
-// re-issuing uncommitted ranges there and voiding the dead copy's
-// ORDMA references by epoch.
-func NewReplicatedClient(s *sim.Scheduler, clientNIC *nic.NIC, servers [][]*dafs.Server, mode nic.NotifyMode, cfg Config, layout stripe.Layout, policy stripe.AckPolicy) *Client {
-	if layout.Replicas < 1 {
-		panic("core: replicated client needs layout.Replicas >= 1")
-	}
-	primaries := make([]*dafs.Server, len(servers))
-	for i, copies := range servers {
+	for shard, copies := range servers {
 		if len(copies) != layout.Width() {
-			panic(fmt.Sprintf("core: shard %d has %d copies for width %d", i, len(copies), layout.Width()))
+			panic(fmt.Sprintf("core: shard %d has %d copies for width %d", shard, len(copies), layout.Width()))
 		}
-		primaries[i] = copies[0]
+		c.inners[shard] = make([]*dafs.Client, len(copies))
+		c.inners[shard][0] = dafs.NewClient(s, clientNIC, copies[0], mode, transfer)
+		c.sets[shard] = stripe.NewReplicaSet(policy, len(copies), func(copy int) nas.FailoverSession {
+			return c.session(shard, copy)
+		})
 	}
-	c := NewStripedClient(s, clientNIC, primaries, mode, cfg, layout)
-	c.servers = servers
-	c.sessions = make([][]*dafs.Client, layout.Shards)
-	c.deadCopy = make([][]bool, layout.Shards)
-	for i := range c.sessions {
-		c.sessions[i] = make([]*dafs.Client, layout.Width())
-		c.sessions[i][0] = c.inners[i]
-		c.deadCopy[i] = make([]bool, layout.Width())
-	}
-	c.serving = make([]int, layout.Shards)
-	c.refEpoch = make([]uint64, layout.Shards)
-	c.policy = policy
+	c.c = cache.New(cfg.BlockSize, cfg.DataBlocks, cfg.Headers, opts...)
 	return c
 }
-
-// replicated reports whether the client fronts replica sets.
-func (c *Client) replicated() bool { return c.sessions != nil }
 
 // session returns the shard's copy session, mounting it cold on first
 // use. Retry is armed at construction from the stored config: a session
 // mounted after SetRetry ran (failover creates these) must still time
 // out on a dead copy rather than hang.
 func (c *Client) session(shard, copy int) *dafs.Client {
-	if in := c.sessions[shard][copy]; in != nil {
+	if in := c.inners[shard][copy]; in != nil {
 		return in
 	}
 	in := dafs.NewClient(c.s, c.clientNIC, c.servers[shard][copy], c.mode, c.transfer)
@@ -252,8 +218,18 @@ func (c *Client) session(shard, copy int) *dafs.Client {
 	if c.rdmaTimeout > 0 {
 		in.SetRDMATimeout(c.rdmaTimeout)
 	}
-	c.sessions[shard][copy] = in
+	c.inners[shard][copy] = in
 	return in
+}
+
+// refEpoch stamps a shard's directory references with its serving
+// copy's incarnation: the set's failover count (always 0 unreplicated).
+func (c *Client) refEpoch(shard int) uint64 { return c.sets[shard].Failovers }
+
+// serving returns the shard's serving session (always mounted: a copy
+// mounts before failover makes it serve).
+func (c *Client) serving(shard int) *dafs.Client {
+	return c.inners[shard][c.sets[shard].Serving()]
 }
 
 // SetRetry configures session retransmission on every shard's DAFS
@@ -277,16 +253,10 @@ func (c *Client) SetRDMATimeout(d sim.Duration) {
 	c.eachSession(func(in *dafs.Client) { in.SetRDMATimeout(d) })
 }
 
-// eachSession visits every mounted DAFS session — all copies when
-// replicated, dead ones included (their counters still count).
+// eachSession visits every mounted DAFS session, shard-major and
+// copy-minor — dead copies included (their counters still count).
 func (c *Client) eachSession(fn func(*dafs.Client)) {
-	if !c.replicated() {
-		for _, in := range c.inners {
-			fn(in)
-		}
-		return
-	}
-	for _, copies := range c.sessions {
+	for _, copies := range c.inners {
 		for _, in := range copies {
 			if in != nil {
 				fn(in)
@@ -311,152 +281,10 @@ func (c *Client) TimedOuts() uint64 {
 	return n
 }
 
-// Failovers counts serving-copy switches across the shards; Reissued
-// counts the uncommitted ranges failover re-wrote onto surviving
-// copies. Both are zero on unreplicated clients.
-func (c *Client) Failovers() uint64 { return c.failovers }
-func (c *Client) Reissued() uint64  { return c.reissued }
-
-// liveCopies lists the copies a shard's write must reach, serving copy
-// first.
-func (c *Client) liveCopies(shard int) []int {
-	out := []int{c.serving[shard]}
-	for i := range c.sessions[shard] {
-		if i != c.serving[shard] && !c.deadCopy[shard][i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// ackNeed clamps the policy's requirement to the copies still alive.
-func (c *Client) ackNeed(liveCopies int) int {
-	n := c.policy.Need(c.layout.Width())
-	if n > liveCopies {
-		n = liveCopies
-	}
-	return n
-}
-
-// noteReplicaErr absorbs a replica-copy failure; a timed-out copy is
-// marked dead so later writes stop waiting on it.
-func (c *Client) noteReplicaErr(shard, copy int, err error) {
-	c.replicaErrs++
-	if errors.Is(err, nas.ErrTimeout) {
-		c.deadCopy[shard][copy] = true
-	}
-}
-
-// failover reacts to a shard's serving copy timing out: mark it dead,
-// advance to the next live copy (mounting its session cold), re-issue
-// the dead session's uncommitted ranges there — skipping ranges the
-// survivor already acknowledged, so a sync-policy failover re-issues
-// nothing — and bump the shard's reference epoch so ORDMA never
-// exercises the dead copy's export space against the survivor. A
-// concurrent operation that already failed over just retries on the new
-// serving copy.
-//
-// When every copy of the shard has been marked dead the marks are
-// cleared and the next copy probed anyway: dead marks are routing
-// hints, not tombstones — a crashed machine restarts, and the
-// unreplicated client recovers exactly by retrying the only machine it
-// has. The current operation still fails (typed timeout, never a hang,
-// reported by returning false); later operations probe the refreshed
-// view and find the restarted copy.
-func (c *Client) failover(p *sim.Proc, shard, failed int) bool {
-	if c.serving[shard] != failed {
-		return true
-	}
-	c.deadCopy[shard][failed] = true
-	width := c.layout.Width()
-	next, exhausted := -1, false
-	for i := 1; i < width; i++ {
-		cp := (failed + i) % width
-		if !c.deadCopy[shard][cp] {
-			next = cp
-			break
-		}
-	}
-	if next < 0 {
-		for i := range c.deadCopy[shard] {
-			c.deadCopy[shard][i] = false
-		}
-		next = (failed + 1) % width
-		exhausted = true
-	}
-	old := c.sessions[shard][failed]
-	nw := c.session(shard, next)
-	c.serving[shard] = next
-	c.inners[shard] = nw
-	c.refEpoch[shard]++
-	c.failovers++
-	obs.Active(p).CountFailover()
-	for _, pr := range old.TakeUncommitted() {
-		if nw.HasUncommitted(pr.FH, pr.WriteRange) {
-			continue
-		}
-		if _, err := nw.WriteStable(p, &nas.Handle{FH: pr.FH}, pr.Off, pr.N, nas.CommitBufID); err != nil {
-			nw.Requeue(pr.FH, pr.WriteRange)
-			continue
-		}
-		c.reissued++
-	}
-	return !exhausted
-}
-
-// withFailover runs a serving-session operation, failing the shard over
-// and retrying when the session's retry exhausts. Unreplicated clients
-// run the operation exactly once, as before.
-func (c *Client) withFailover(p *sim.Proc, shard int, fn func(wp *sim.Proc, in *dafs.Client) error) error {
-	for {
-		serving := 0
-		if c.replicated() {
-			serving = c.serving[shard]
-		}
-		err := fn(p, c.inners[shard])
-		if err == nil || !c.replicated() || !errors.Is(err, nas.ErrTimeout) {
-			return err
-		}
-		if !c.failover(p, shard, serving) {
-			return err
-		}
-	}
-}
-
-// shardWrite issues one write-class operation to a shard: unreplicated,
-// it runs on the shard session exactly as before; replicated, it
-// reaches every live copy with the ack policy deciding how many
-// acknowledgements complete it (stripe.Replicate), failing over when
-// the serving copy times out and retrying when a mid-write copy death
-// made the clamped ack requirement reachable again (the re-run is
-// idempotent: copies that already applied the write apply the same
-// bytes).
-func (c *Client) shardWrite(p *sim.Proc, shard int, name string, op func(wp *sim.Proc, in *dafs.Client) (int64, error)) (int64, error) {
-	if !c.replicated() {
-		return op(p, c.inners[shard])
-	}
-	for {
-		copies := c.liveCopies(shard)
-		got, err := stripe.Replicate(p, copies, c.ackNeed(len(copies)), name,
-			func(wp *sim.Proc, cp int) (int64, error) {
-				return op(wp, c.session(shard, cp))
-			},
-			func(cp int, err error) { c.noteReplicaErr(shard, cp, err) })
-		switch {
-		case err == nil:
-			return got, nil
-		case errors.Is(err, nas.ErrTimeout):
-			if c.failover(p, shard, copies[0]) {
-				continue
-			}
-			return got, err
-		case errors.Is(err, stripe.ErrNoQuorum) && len(c.liveCopies(shard)) < len(copies):
-			continue
-		default:
-			return got, err
-		}
-	}
-}
+// ReplicaSets returns the per-shard replica-set state machines, whose
+// counters record failovers, re-issues and absorbed replica errors (all
+// zero on unreplicated clients).
+func (c *Client) ReplicaSets() []*stripe.ReplicaSet { return c.sets }
 
 // Name implements nas.Client.
 func (c *Client) Name() string {
@@ -473,7 +301,7 @@ func (c *Client) Stats() Stats { return c.stats }
 func (c *Client) CacheStats() cache.Stats { return c.c.Stats() }
 
 // Inner returns the underlying DAFS session client for shard 0.
-func (c *Client) Inner() *dafs.Client { return c.inners[0] }
+func (c *Client) Inner() *dafs.Client { return c.serving(0) }
 
 // Layout returns the striping scheme (stripe.Single() when unstriped).
 func (c *Client) Layout() stripe.Layout { return c.layout }
@@ -497,9 +325,9 @@ func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
 		c.h.Compute(p, c.h.P.CacheLookup)
 		return hs[0], nil
 	}
-	hs := make([]*nas.Handle, len(c.inners))
-	err := stripe.FanOut(p, len(c.inners), "odafs-open", func(wp *sim.Proc, i int) error {
-		h, err := c.inners[i].Open(wp, name)
+	hs := make([]*nas.Handle, len(c.sets))
+	err := stripe.FanOut(p, len(c.sets), "odafs-open", func(wp *sim.Proc, i int) error {
+		h, err := c.serving(i).Open(wp, name)
 		hs[i] = h
 		return err
 	})
@@ -523,32 +351,23 @@ func (c *Client) Getattr(p *sim.Proc, h *nas.Handle) (int64, error) {
 		c.h.Compute(p, c.h.P.CacheLookup)
 		return h.Size, nil
 	}
-	return c.inners[0].Getattr(p, h)
+	return c.serving(0).Getattr(p, h)
 }
 
-// Create implements nas.Client: the name is created on every shard
-// concurrently — on every live copy of every shard when replicated (the
-// namespace replicates with the data, so failover finds the file;
-// replica-copy failures are absorbed like write failures).
+// Create implements nas.Client: the name is created on every live copy
+// of every shard concurrently (the namespace replicates with the data,
+// so failover finds the file; replica-copy failures are absorbed like
+// write failures). Each shard's serving copy supplies its handle.
 func (c *Client) Create(p *sim.Proc, name string) (*nas.Handle, error) {
-	hs := make([]*nas.Handle, len(c.inners))
-	err := stripe.FanOut(p, len(c.inners), "odafs-create", func(wp *sim.Proc, i int) error {
-		if !c.replicated() {
-			h, err := c.inners[i].Create(wp, name)
-			hs[i] = h
-			return err
-		}
-		copies := c.liveCopies(i)
-		return stripe.FanOut(wp, len(copies), "odafs-rcreate", func(cp *sim.Proc, j int) error {
-			h, err := c.session(i, copies[j]).Create(cp, name)
-			if j == 0 {
+	hs := make([]*nas.Handle, len(c.sets))
+	err := stripe.FanOut(p, len(c.sets), "odafs-create", func(wp *sim.Proc, i int) error {
+		serving := c.sets[i].Serving()
+		return c.sets[i].FanOut(wp, "odafs-rcreate", func(cp *sim.Proc, copy int) error {
+			h, err := c.session(i, copy).Create(cp, name)
+			if copy == serving {
 				hs[i] = h
-				return err
 			}
-			if err != nil {
-				c.noteReplicaErr(i, copies[j], err)
-			}
-			return nil
+			return err
 		})
 	})
 	if err != nil {
@@ -558,22 +377,13 @@ func (c *Client) Create(p *sim.Proc, name string) (*nas.Handle, error) {
 	return hs[0], nil
 }
 
-// Remove implements nas.Client: the name is removed from every shard —
-// every live copy of every shard when replicated.
+// Remove implements nas.Client: the name is removed from every live copy
+// of every shard.
 func (c *Client) Remove(p *sim.Proc, name string) error {
 	delete(c.delegations, name)
-	return stripe.FanOut(p, len(c.inners), "odafs-remove", func(wp *sim.Proc, i int) error {
-		if !c.replicated() {
-			return c.inners[i].Remove(wp, name)
-		}
-		copies := c.liveCopies(i)
-		return stripe.FanOut(wp, len(copies), "odafs-rremove", func(cp *sim.Proc, j int) error {
-			err := c.session(i, copies[j]).Remove(cp, name)
-			if err != nil && j > 0 {
-				c.noteReplicaErr(i, copies[j], err)
-				return nil
-			}
-			return err
+	return stripe.FanOut(p, len(c.sets), "odafs-remove", func(wp *sim.Proc, i int) error {
+		return c.sets[i].FanOut(wp, "odafs-rremove", func(cp *sim.Proc, copy int) error {
+			return c.session(i, copy).Remove(cp, name)
 		})
 	})
 }
@@ -668,7 +478,7 @@ func (c *Client) fetchBlockUncoalesced(p *sim.Proc, h *nas.Handle, blockOff int6
 	if c.cfg.UseORDMA {
 		if ref := c.c.RefOf(h.FH, blockOff); ref != nil {
 			shard := c.layout.ShardOf(blockOff)
-			if c.refEpoch != nil && ref.Epoch != c.refEpoch[shard] {
+			if ref.Epoch != c.refEpoch(shard) {
 				// The reference was exported by a copy this shard has
 				// since failed away from: its VA may alias a different
 				// block in the survivor's export space, so it must never
@@ -677,7 +487,7 @@ func (c *Client) fetchBlockUncoalesced(p *sim.Proc, h *nas.Handle, blockOff int6
 				return c.rpcFetch(p, h, blockOff, blockLen)
 			}
 			c.stats.ORDMAReads++
-			res := c.inners[shard].QP().RDMA(p, nic.Get, ref.VA, min(blockLen, ref.Len), ref.Cap)
+			res := c.serving(shard).QP().RDMA(p, nic.Get, ref.VA, min(blockLen, ref.Len), ref.Cap)
 			if res.OK() {
 				c.stats.ORDMASuccesses++
 				c.chargeInsert(p, h.FH, blockOff)
@@ -695,14 +505,15 @@ func (c *Client) fetchBlockUncoalesced(p *sim.Proc, h *nas.Handle, blockOff int6
 
 // rpcFetch populates a block over the owning shard's DAFS RPC path,
 // installing any piggybacked reference — stamped with the shard's
-// serving epoch when replicated — in the directory. A retry-exhausted
-// serving copy triggers failover and the fetch retries on the survivor.
+// reference epoch — in the directory. A retry-exhausted serving copy
+// triggers failover and the fetch retries on the survivor.
 func (c *Client) rpcFetch(p *sim.Proc, h *nas.Handle, blockOff, blockLen int64) error {
 	c.stats.RPCReads++
 	shard := c.layout.ShardOf(blockOff)
 	sh := c.shardHandle(h, shard)
 	var ref *cache.RemoteRef
-	err := c.withFailover(p, shard, func(wp *sim.Proc, inner *dafs.Client) error {
+	err := c.sets[shard].Do(p, func(wp *sim.Proc, copy int) error {
+		inner := c.session(shard, copy)
 		var err error
 		if c.cfg.InlineRPC {
 			_, ref, err = inner.ReadInline(wp, sh, blockOff, blockLen)
@@ -718,8 +529,8 @@ func (c *Client) rpcFetch(p *sim.Proc, h *nas.Handle, blockOff, blockLen int64) 
 	if err != nil {
 		return err
 	}
-	if ref != nil && c.refEpoch != nil {
-		ref.Epoch = c.refEpoch[shard]
+	if ref != nil {
+		ref.Epoch = c.refEpoch(shard)
 	}
 	c.chargeInsert(p, h.FH, blockOff)
 	c.c.Insert(h.FH, blockOff, blockLen, ref, nil)
@@ -743,8 +554,8 @@ func (c *Client) chargeInsert(p *sim.Proc, fh uint64, off int64) {
 // ack policy.
 func (c *Client) Write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
 	got, err := c.writeSpans(p, h, off, n, func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
-		return c.shardWrite(wp, shard, "odafs-repl", func(ip *sim.Proc, in *dafs.Client) (int64, error) {
-			return in.Write(ip, sh, so, sn, bufID)
+		return c.sets[shard].Replicate(wp, "odafs-repl", func(ip *sim.Proc, copy int) (int64, error) {
+			return c.session(shard, copy).Write(ip, sh, so, sn, bufID)
 		})
 	})
 	if err != nil {
@@ -775,8 +586,8 @@ func (c *Client) extendReplicas(p *sim.Proc, h *nas.Handle, off, n int64) error 
 	targets := c.layout.ExtendTargets(off, n)
 	err := stripe.FanOut(p, len(targets), "odafs-extend", func(wp *sim.Proc, i int) error {
 		shard := targets[i]
-		_, err := c.shardWrite(wp, shard, "odafs-rextend", func(ip *sim.Proc, in *dafs.Client) (int64, error) {
-			return in.WriteData(ip, c.shardHandle(h, shard), end, nil)
+		_, err := c.sets[shard].Replicate(wp, "odafs-rextend", func(ip *sim.Proc, copy int) (int64, error) {
+			return c.session(shard, copy).WriteData(ip, c.shardHandle(h, shard), end, nil)
 		})
 		return err
 	})
@@ -810,8 +621,8 @@ func (c *Client) writeSpans(p *sim.Proc, h *nas.Handle, off, n int64,
 // receives its spans' bytes, concurrently like Write.
 func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (int64, error) {
 	got, err := c.writeSpans(p, h, off, int64(len(data)), func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
-		return c.shardWrite(wp, shard, "odafs-rwdata", func(ip *sim.Proc, in *dafs.Client) (int64, error) {
-			return in.WriteData(ip, sh, so, data[so-off:so-off+sn])
+		return c.sets[shard].Replicate(wp, "odafs-rwdata", func(ip *sim.Proc, copy int) (int64, error) {
+			return c.session(shard, copy).WriteData(ip, sh, so, data[so-off:so-off+sn])
 		})
 	})
 	if err != nil {
@@ -834,13 +645,13 @@ func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (
 // writes, so a crash of one shard never forces rewrites on the others.
 func (c *Client) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
 	commitShard := func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) error {
-		_, err := c.shardWrite(wp, shard, "odafs-rcommit", func(ip *sim.Proc, in *dafs.Client) (int64, error) {
-			return 0, in.Commit(ip, sh, so, sn)
+		_, err := c.sets[shard].Replicate(wp, "odafs-rcommit", func(ip *sim.Proc, copy int) (int64, error) {
+			return 0, c.session(shard, copy).Commit(ip, sh, so, sn)
 		})
 		return err
 	}
 	if n <= 0 {
-		return stripe.FanOut(p, len(c.inners), "odafs-commit", func(wp *sim.Proc, i int) error {
+		return stripe.FanOut(p, len(c.sets), "odafs-commit", func(wp *sim.Proc, i int) error {
 			return commitShard(wp, i, c.shardHandle(h, i), 0, 0)
 		})
 	}

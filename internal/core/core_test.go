@@ -9,6 +9,7 @@ import (
 	"danas/internal/netsim"
 	"danas/internal/nic"
 	"danas/internal/sim"
+	"danas/internal/stripe"
 )
 
 type rig struct {
@@ -46,7 +47,7 @@ func (r *rig) newClient(t *testing.T, cfg Config) *Client {
 	name := "client" + string(rune('A'+r.n-1))
 	ch := host.New(r.s, name, r.p)
 	cn := nic.New(ch, r.fab.AddPort(name, r.cfg))
-	return NewClient(r.s, cn, r.srv, nic.Poll, cfg)
+	return NewClient(r.s, cn, [][]*dafs.Server{{r.srv}}, nic.Poll, cfg, stripe.Single(), stripe.AckSync)
 }
 
 func odafsCfg() Config {

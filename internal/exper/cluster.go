@@ -362,14 +362,18 @@ type Mount struct {
 	// shards when striped. A cached mount is Cached.
 	Client nas.Client
 	// Cached is the cached DAFS/ODAFS client (nil on raw mounts); it owns
-	// its sessions, striping and replica routing.
+	// its sessions, striping and replica routing. Every cluster shape
+	// builds it with the one cached-client constructor, core.NewClient.
 	Cached *core.Client
 	// NFS and DAFS are a raw mount's sessions, one per copy of every
 	// shard, shard-major and copy-minor.
 	NFS  []*nfs.Client
 	DAFS []*dafs.Client
-	// Groups are a replicated raw mount's per-shard replica groups.
-	Groups []*stripe.Group
+	// Sets are the mount's per-shard replica-set state machines: the
+	// cached client's (width 1 when unreplicated) or, on a replicated
+	// raw mount, those of its per-shard stripe.Groups. An unreplicated
+	// raw mount has none.
+	Sets []*stripe.ReplicaSet
 }
 
 // Mount attaches a client of the given system to node i over every copy
@@ -385,19 +389,13 @@ func (c *Cluster) Mount(i int, spec MountSpec) *Mount {
 			panic("exper: no cached client for " + spec.System)
 		}
 		servers := make([][]*dafs.Server, len(c.ReplicaSets))
-		primaries := make([]*dafs.Server, len(c.ReplicaSets))
 		for s, set := range c.ReplicaSets {
 			for _, sh := range set {
 				servers[s] = append(servers[s], sh.DAFS)
 			}
-			primaries[s] = set[0].DAFS
 		}
-		if c.replicas > 0 {
-			m.Cached = core.NewReplicatedClient(c.S, node.NIC, servers, nic.Poll, cfg, c.Layout(), c.ack)
-		} else {
-			m.Cached = core.NewStripedClient(c.S, node.NIC, primaries, nic.Poll, cfg, c.Layout())
-		}
-		m.Client = m.Cached
+		m.Cached = core.NewClient(c.S, node.NIC, servers, nic.Poll, cfg, c.Layout(), c.ack)
+		m.Client, m.Sets = m.Cached, m.Cached.ReplicaSets()
 		return m
 	}
 	if spec.System == "ODAFS" {
@@ -421,7 +419,7 @@ func (c *Cluster) Mount(i int, spec MountSpec) *Mount {
 		subs[s] = copies[0]
 		if c.replicas > 0 {
 			g := stripe.NewGroup(c.ack, copies)
-			m.Groups = append(m.Groups, g)
+			m.Sets = append(m.Sets, g.ReplicaSet)
 			subs[s] = g
 		}
 	}
@@ -518,23 +516,17 @@ func (m *Mount) TimedOut() uint64 {
 // counts the uncommitted ranges failover re-wrote onto surviving copies.
 // Both are zero on unreplicated mounts.
 func (m *Mount) Failovers() uint64 {
-	if m.Cached != nil {
-		return m.Cached.Failovers()
-	}
 	var n uint64
-	for _, g := range m.Groups {
-		n += g.Failovers
+	for _, set := range m.Sets {
+		n += set.Failovers
 	}
 	return n
 }
 
 func (m *Mount) Reissued() uint64 {
-	if m.Cached != nil {
-		return m.Cached.Reissued()
-	}
 	var n uint64
-	for _, g := range m.Groups {
-		n += g.Reissued
+	for _, set := range m.Sets {
+		n += set.Reissued
 	}
 	return n
 }

@@ -115,9 +115,11 @@ func checkMountShape(t *testing.T, spec MountSpec, shards, replicas int) {
 		if m.Client != nas.Client(m.Cached) || m.Cached == nil {
 			t.Fatalf("cached mount's client is %T, want its *core.Client", m.Client)
 		}
-		if len(m.NFS)+len(m.DAFS)+len(m.Groups) != 0 {
-			t.Errorf("cached mount exposes %d NFS, %d DAFS sessions and %d groups, want none",
-				len(m.NFS), len(m.DAFS), len(m.Groups))
+		if len(m.NFS)+len(m.DAFS) != 0 {
+			t.Errorf("cached mount exposes %d NFS and %d DAFS sessions, want none", len(m.NFS), len(m.DAFS))
+		}
+		if len(m.Sets) != shards || m.Sets[0].Width() != width {
+			t.Errorf("cached mount has %d replica sets, want one per shard (%d) of width %d", len(m.Sets), shards, width)
 		}
 		if l := m.Cached.Layout(); l.Shards != shards || l.Replicas != replicas {
 			t.Errorf("cached layout is %d shards x %d replicas, want %d x %d", l.Shards, l.Replicas, shards, replicas)
@@ -145,11 +147,11 @@ func checkMountShape(t *testing.T, spec MountSpec, shards, replicas int) {
 	if got := cl.nextNFSPort + 1 - firstPort; got != wantPorts {
 		t.Errorf("mount took %d NFS ports, want %d", got, wantPorts)
 	}
-	if replicas > 0 && len(m.Groups) != shards {
-		t.Errorf("%d replica groups, want one per shard (%d)", len(m.Groups), shards)
+	if replicas > 0 && len(m.Sets) != shards {
+		t.Errorf("%d replica sets, want one per shard (%d)", len(m.Sets), shards)
 	}
-	if replicas == 0 && len(m.Groups) != 0 {
-		t.Errorf("unreplicated mount built %d replica groups", len(m.Groups))
+	if replicas == 0 && len(m.Sets) != 0 {
+		t.Errorf("unreplicated raw mount built %d replica sets", len(m.Sets))
 	}
 	switch c := m.Client.(type) {
 	case *stripe.Client:
@@ -157,7 +159,7 @@ func checkMountShape(t *testing.T, spec MountSpec, shards, replicas int) {
 			t.Error("one-shard mount is striped")
 		}
 	case *stripe.Group:
-		if shards != 1 || replicas == 0 || c != m.Groups[0] {
+		if shards != 1 || replicas == 0 || c.ReplicaSet != m.Sets[0] {
 			t.Errorf("mount is a bare replica group at S=%d R=%d", shards, replicas)
 		}
 	default:

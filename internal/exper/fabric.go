@@ -184,7 +184,7 @@ func fabricCell(system string, oversub, clients int, gen trace.GenConfig) Fabric
 			if d := stagger * sim.Duration(i); d > 0 {
 				p.Sleep(d)
 			}
-			res, err := workload.ReplayWith(p, acs[i], tr, onStart)
+			res, err := workload.ReplayObserved(p, acs[i], tr, onStart, nil)
 			if err != nil {
 				panic(fmt.Sprintf("%s client %d: %v", name, i, err))
 			}

@@ -31,47 +31,66 @@ func replCluster(t *testing.T, replicas int, ack stripe.AckPolicy) *Cluster {
 	return cl
 }
 
+// replMounts are the two ways a client reaches a replicated fleet: raw
+// DAFS sessions behind a stripe.Group per shard, and the cached DAFS
+// client keeping its own replica set per shard. The failover contracts
+// below hold on both, because both drive stripe.ReplicaSet.
+var replMounts = []struct {
+	name string
+	spec MountSpec
+}{
+	{"raw", MountSpec{System: "DAFS", Transfer: dafs.Inline}},
+	{"cached", MountSpec{System: "DAFS", Cache: &core.Config{
+		BlockSize: scalingBlock, DataBlocks: 64, Headers: 128, InlineRPC: true,
+	}}},
+}
+
 // TestSyncFailoverReissuesNothing is the sync ack policy's durability
 // contract: every copy acknowledged every write, so when the primary
 // dies the failover drain finds each uncommitted range already pending
-// on the surviving copy and re-issues none of them.
+// on the surviving copy and re-issues none of them. The probe reads a
+// block no one has read, so the cached client must reach a server too.
 func TestSyncFailoverReissuesNothing(t *testing.T) {
-	cl := replCluster(t, 1, stripe.AckSync)
-	m := cl.Mount(0, MountSpec{System: "DAFS", Transfer: dafs.Inline})
-	m.SetRetry(FailRTO, ReplRetries)
-	g, base := m.Groups[0], m.Client
-	data := make([]byte, scalingBlock)
-	cl.Go("app", func(p *sim.Proc) {
-		h, err := base.Open(p, "data")
-		if err != nil {
-			t.Errorf("open: %v", err)
-			return
-		}
-		for i := 0; i < 4; i++ {
-			if _, err := base.WriteData(p, h, int64(i)*scalingBlock, data); err != nil {
-				t.Errorf("write %d: %v", i, err)
-				return
+	for _, mt := range replMounts {
+		t.Run(mt.name, func(t *testing.T) {
+			cl := replCluster(t, 1, stripe.AckSync)
+			m := cl.Mount(0, mt.spec)
+			m.SetRetry(FailRTO, ReplRetries)
+			base := m.Client
+			data := make([]byte, scalingBlock)
+			cl.Go("app", func(p *sim.Proc) {
+				h, err := base.Open(p, "data")
+				if err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				for i := 0; i < 4; i++ {
+					if _, err := base.WriteData(p, h, int64(i)*scalingBlock, data); err != nil {
+						t.Errorf("write %d: %v", i, err)
+						return
+					}
+				}
+				cl.Crash(0, 0) // the primary; the replica keeps serving
+				n, err := base.Read(p, h, 32*scalingBlock, scalingBlock, 1)
+				if err != nil {
+					t.Errorf("read after primary crash: %v (failover should absorb it)", err)
+					return
+				}
+				if n != scalingBlock {
+					t.Errorf("read %d bytes after failover, want %d", n, scalingBlock)
+				}
+			})
+			cl.Run()
+			if got := m.Failovers(); got != 1 {
+				t.Errorf("Failovers = %d, want 1", got)
 			}
-		}
-		cl.Crash(0, 0) // the primary; the replica keeps serving
-		size, err := base.Getattr(p, h)
-		if err != nil {
-			t.Errorf("getattr after primary crash: %v (failover should absorb it)", err)
-			return
-		}
-		if size != 64*scalingBlock {
-			t.Errorf("getattr size = %d after failover, want %d", size, 64*scalingBlock)
-		}
-	})
-	cl.Run()
-	if g.Failovers != 1 {
-		t.Errorf("Failovers = %d, want 1", g.Failovers)
-	}
-	if g.Reissued != 0 {
-		t.Errorf("Reissued = %d, want 0 — sync acked every range on the survivor", g.Reissued)
-	}
-	if g.Serving() != 1 {
-		t.Errorf("Serving() = %d after failover, want 1", g.Serving())
+			if got := m.Reissued(); got != 0 {
+				t.Errorf("Reissued = %d, want 0 — sync acked every range on the survivor", got)
+			}
+			if got := m.Sets[0].Serving(); got != 1 {
+				t.Errorf("Serving() = %d after failover, want 1", got)
+			}
+		})
 	}
 }
 
@@ -81,56 +100,62 @@ func TestSyncFailoverReissuesNothing(t *testing.T) {
 // the surviving copy, so the data is durable where the clients now
 // read.
 func TestAsyncFailoverReissuesLostWrites(t *testing.T) {
-	cl := replCluster(t, 1, stripe.AckAsync)
-	m := cl.Mount(0, MountSpec{System: "DAFS", Transfer: dafs.Inline})
-	m.SetRetry(FailRTO, ReplRetries)
-	g, base := m.Groups[0], m.Client
-	data := make([]byte, scalingBlock)
-	cl.Go("app", func(p *sim.Proc) {
-		h, err := base.Open(p, "data")
-		if err != nil {
-			t.Errorf("open: %v", err)
-			return
-		}
-		// The replica is dark while the writes land: async returns on the
-		// primary's ack alone, so all four ranges exist only there.
-		cl.Crash(0, 1)
-		for i := 0; i < 4; i++ {
-			if _, err := base.WriteData(p, h, int64(i)*scalingBlock, data); err != nil {
-				t.Errorf("write %d: %v", i, err)
-				return
+	for _, mt := range replMounts {
+		t.Run(mt.name, func(t *testing.T) {
+			cl := replCluster(t, 1, stripe.AckAsync)
+			m := cl.Mount(0, mt.spec)
+			m.SetRetry(FailRTO, ReplRetries)
+			base := m.Client
+			data := make([]byte, scalingBlock)
+			cl.Go("app", func(p *sim.Proc) {
+				h, err := base.Open(p, "data")
+				if err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				// The replica is dark while the writes land: async returns
+				// on the primary's ack alone, so all four ranges exist only
+				// there.
+				cl.Crash(0, 1)
+				for i := 0; i < 4; i++ {
+					if _, err := base.WriteData(p, h, int64(i)*scalingBlock, data); err != nil {
+						t.Errorf("write %d: %v", i, err)
+						return
+					}
+				}
+				// Let the background replica writes exhaust their budgets
+				// (the copy gets marked dead), then swap the outage: replica
+				// back up cold, primary — and the only acknowledged copies —
+				// gone.
+				p.Sleep(50 * sim.Millisecond)
+				cl.Restart(0, 1)
+				cl.Crash(0, 0)
+				// Every copy is now marked dead, so this op fails typed
+				// (amnesty clears the marks rather than hanging) — but the
+				// drain has already re-issued the primary's uncommitted
+				// ranges on the restarted replica.
+				if _, err := base.Read(p, h, 32*scalingBlock, scalingBlock, 1); !errors.Is(err, nas.ErrTimeout) {
+					t.Errorf("read with every copy marked dead: %v, want nas.ErrTimeout", err)
+				}
+				if _, err := base.Read(p, h, 33*scalingBlock, scalingBlock, 1); err != nil {
+					t.Errorf("read after amnesty probe: %v (the restarted replica should answer)", err)
+				}
+				if _, err := base.Read(p, h, 0, scalingBlock, 1); err != nil {
+					t.Errorf("read-back on the survivor: %v", err)
+				}
+			})
+			cl.Run()
+			if got := m.Reissued(); got != 4 {
+				t.Errorf("Reissued = %d, want 4 — every async-lost range re-issued on the survivor", got)
 			}
-		}
-		// Let the background replica writes exhaust their budgets (the
-		// copy gets marked dead), then swap the outage: replica back up
-		// cold, primary — and the only acknowledged copies — gone.
-		p.Sleep(50 * sim.Millisecond)
-		cl.Restart(0, 1)
-		cl.Crash(0, 0)
-		// Every copy is now marked dead, so this op fails typed (amnesty
-		// clears the marks rather than hanging) — but the drain has
-		// already re-issued the primary's uncommitted ranges on the
-		// restarted replica.
-		if _, err := base.Getattr(p, h); !errors.Is(err, nas.ErrTimeout) {
-			t.Errorf("getattr with every copy marked dead: %v, want nas.ErrTimeout", err)
-		}
-		if _, err := base.Getattr(p, h); err != nil {
-			t.Errorf("getattr after amnesty probe: %v (the restarted replica should answer)", err)
-		}
-		if _, err := base.Read(p, h, 0, scalingBlock, 1); err != nil {
-			t.Errorf("read-back on the survivor: %v", err)
-		}
-	})
-	cl.Run()
-	if g.Reissued != 4 {
-		t.Errorf("Reissued = %d, want 4 — every async-lost range re-issued on the survivor", g.Reissued)
-	}
-	if g.ReplicaErrs == 0 {
-		t.Error("no replica write failure recorded while the replica was dark")
-	}
-	// The re-issues were stable writes: the survivor destaged them.
-	if got := cl.ReplicaSets[0][1].Disk.BytesWritten; got < 4*scalingBlock {
-		t.Errorf("survivor disk holds %d bytes, want >= %d (re-issues must be stable)", got, 4*scalingBlock)
+			if m.Sets[0].ReplicaErrs == 0 {
+				t.Error("no replica write failure recorded while the replica was dark")
+			}
+			// The re-issues were stable writes: the survivor destaged them.
+			if got := cl.ReplicaSets[0][1].Disk.BytesWritten; got < 4*scalingBlock {
+				t.Errorf("survivor disk holds %d bytes, want >= %d (re-issues must be stable)", got, 4*scalingBlock)
+			}
+		})
 	}
 }
 
@@ -140,39 +165,43 @@ func TestAsyncFailoverReissuesLostWrites(t *testing.T) {
 // background — no timeout, no dead-marking, no waiting for the slowest
 // copy.
 func TestQuorumProgressWithSlowReplica(t *testing.T) {
-	cl := replCluster(t, 2, stripe.AckQuorum)
-	m := cl.Mount(0, MountSpec{System: "DAFS", Transfer: dafs.Inline})
-	g, base := m.Groups[0], m.Client
-	// Copy 2 serializes a block in ~16 s at this rate; a policy that
-	// waited for it would blow the elapsed bound by three orders of
-	// magnitude.
-	cl.DegradeLink(0, 2, 1000)
-	data := make([]byte, scalingBlock)
-	var elapsed sim.Duration
-	cl.Go("app", func(p *sim.Proc) {
-		h, err := base.Open(p, "data")
-		if err != nil {
-			t.Errorf("open: %v", err)
-			return
-		}
-		start := p.Now()
-		for i := 0; i < 4; i++ {
-			if _, err := base.WriteData(p, h, int64(i)*scalingBlock, data); err != nil {
-				t.Errorf("write %d: %v", i, err)
-				return
+	for _, mt := range replMounts {
+		t.Run(mt.name, func(t *testing.T) {
+			cl := replCluster(t, 2, stripe.AckQuorum)
+			m := cl.Mount(0, mt.spec)
+			base := m.Client
+			// Copy 2 serializes a block in ~16 s at this rate; a policy
+			// that waited for it would blow the elapsed bound by three
+			// orders of magnitude.
+			cl.DegradeLink(0, 2, 1000)
+			data := make([]byte, scalingBlock)
+			var elapsed sim.Duration
+			cl.Go("app", func(p *sim.Proc) {
+				h, err := base.Open(p, "data")
+				if err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				start := p.Now()
+				for i := 0; i < 4; i++ {
+					if _, err := base.WriteData(p, h, int64(i)*scalingBlock, data); err != nil {
+						t.Errorf("write %d: %v", i, err)
+						return
+					}
+				}
+				elapsed = sim.Duration(p.Now() - start)
+			})
+			cl.Run()
+			if elapsed <= 0 || elapsed > 100*sim.Millisecond {
+				t.Errorf("4 quorum writes took %v, want well under 100ms (must not wait for the slow copy)", elapsed)
 			}
-		}
-		elapsed = sim.Duration(p.Now() - start)
-	})
-	cl.Run()
-	if elapsed <= 0 || elapsed > 100*sim.Millisecond {
-		t.Errorf("4 quorum writes took %v, want well under 100ms (must not wait for the slow copy)", elapsed)
-	}
-	if g.ReplicaErrs != 0 {
-		t.Errorf("ReplicaErrs = %d, want 0 — slow is not dead", g.ReplicaErrs)
-	}
-	if g.Failovers != 0 {
-		t.Errorf("Failovers = %d, want 0", g.Failovers)
+			if got := m.Sets[0].ReplicaErrs; got != 0 {
+				t.Errorf("ReplicaErrs = %d, want 0 — slow is not dead", got)
+			}
+			if got := m.Failovers(); got != 0 {
+				t.Errorf("Failovers = %d, want 0", got)
+			}
+		})
 	}
 }
 
@@ -190,11 +219,12 @@ func TestLazyFailoverSessionRetryArmed(t *testing.T) {
 	cl := NewCluster(ccfg)
 	t.Cleanup(cl.Close)
 	cl.CreateWarmFile("data", 64*scalingBlock)
-	cc := cl.Mount(0, MountSpec{System: "ODAFS", Cache: &core.Config{
+	m := cl.Mount(0, MountSpec{System: "ODAFS", Cache: &core.Config{
 		BlockSize:  scalingBlock,
 		DataBlocks: 64,
 		Headers:    128,
-	}}).Cached
+	}})
+	cc := m.Cached
 	// Only the primary session exists yet; the replica session is
 	// mounted lazily by the first failover and must inherit this.
 	cc.SetRetry(FailRTO, ReplRetries)
@@ -229,8 +259,8 @@ func TestLazyFailoverSessionRetryArmed(t *testing.T) {
 	if !done {
 		t.Fatal("client hung: the lazily-mounted replica session was not retry-armed")
 	}
-	if cc.Failovers() < 2 {
-		t.Errorf("Failovers = %d, want >= 2 (primary->replica, replica->amnesty)", cc.Failovers())
+	if got := m.Failovers(); got < 2 {
+		t.Errorf("Failovers = %d, want >= 2 (primary->replica, replica->amnesty)", got)
 	}
 }
 

@@ -178,11 +178,11 @@ func TestMidReplayCrashLosesUnstableWritesAndRecovers(t *testing.T) {
 		// Op errors are counted below, not failed on: soft-mount
 		// timeouts under the post-restart cold-cache disk storm are an
 		// expected, measured outcome (see the failure experiment).
-		res, _ = workload.ReplayWith(p, ac, tr, func(sim.Time) {
+		res, _ = workload.ReplayObserved(p, ac, tr, func(sim.Time) {
 			if err := sched.Arm(cl.S, len(cl.Shards), cl); err != nil {
 				panic(err)
 			}
-		})
+		}, nil)
 	})
 	cl.Run()
 	if res == nil {

@@ -170,12 +170,14 @@ func (c *ServerCache) Install(f *File, off, n int64) {
 // insert makes a block resident, evicting LRU victims beyond capacity.
 // Dirty blocks are pinned: they are skipped when hunting victims, so the
 // cache may transiently exceed capacity while dirty data accumulates
-// (the write-behind high-water mark bounds that growth).
+// (the write-behind high-water mark bounds that growth). The hunt stops
+// short of the new block itself: when every older block is dirty the
+// cache over-commits rather than evict what it is inserting.
 func (c *ServerCache) insert(key BlockKey, l int64) *CacheBlock {
 	b := &CacheBlock{Key: key, Len: l}
 	c.pushFront(b)
 	c.blocks[key] = b
-	for victim := c.lru; len(c.blocks) > c.capacity && victim != nil; {
+	for victim := c.lru; len(c.blocks) > c.capacity && victim != b; {
 		newer := victim.prev
 		if !victim.dirty {
 			c.evict(victim)

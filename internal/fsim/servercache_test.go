@@ -2,6 +2,7 @@ package fsim
 
 import (
 	"container/list"
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -57,7 +58,9 @@ func (r *refCache) key(f *File, off int64) BlockKey {
 
 func (r *refCache) insert(k BlockKey) {
 	r.m[k] = r.ll.PushFront(&refBlock{key: k})
-	for e := r.ll.Back(); len(r.m) > r.capacity && e != nil; {
+	// The hunt never reaches the block being inserted: with every older
+	// block dirty the cache over-commits instead.
+	for e := r.ll.Back(); len(r.m) > r.capacity && e != r.ll.Front(); {
 		b, newer := e.Value.(*refBlock), e.Prev()
 		if !b.dirty {
 			r.evict(e)
@@ -228,5 +231,29 @@ func TestServerCacheAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Get hit: %v allocs, want 0", n)
+	}
+}
+
+// TestInsertNeverEvictsItself is the regression for the victim hunt
+// reaching the block being inserted: with every older block dirty, the
+// new block must stay resident (the cache over-commits) and no eviction
+// hook may run, so an ODAFS server never exports a non-resident block.
+func TestInsertNeverEvictsItself(t *testing.T) {
+	_, fs, c := newCacheRig(t, 4096, 1)
+	f, _ := fs.Create("a", 2*4096)
+	var log []string
+	c.OnInsert = func(b *CacheBlock) { log = append(log, fmt.Sprintf("insert %d", b.Key.Off/4096)) }
+	c.OnEvict = func(b *CacheBlock) { log = append(log, fmt.Sprintf("evict %d", b.Key.Off/4096)) }
+	c.Install(f, 0, 4096)
+	c.MarkDirty(f, 0)
+	c.Install(f, 4096, 4096)
+	if want := []string{"insert 0", "insert 1"}; !slices.Equal(log, want) {
+		t.Errorf("hook log %v, want %v", log, want)
+	}
+	if _, ok := c.Peek(f, 4096); !ok {
+		t.Error("block 1 not resident after its own insert")
+	}
+	if c.Len() != 2 || c.DirtyLen() != 1 {
+		t.Errorf("resident %d (dirty %d), want 2 (1): the dirty block is pinned and the cache over-commits", c.Len(), c.DirtyLen())
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"danas/internal/netsim"
 	"danas/internal/nic"
 	"danas/internal/sim"
+	"danas/internal/stripe"
 )
 
 type rig struct {
@@ -36,9 +37,9 @@ func newRig(t *testing.T, dataBlocks int, ordma bool) *rig {
 	srv := dafs.NewServer(s, sn, fs, sc, true)
 	ch := host.New(s, "client", p)
 	cn := nic.New(ch, fab.AddPort("client", cfg))
-	cl := core.NewClient(s, cn, srv, nic.Poll, core.Config{
+	cl := core.NewClient(s, cn, [][]*dafs.Server{{srv}}, nic.Poll, core.Config{
 		BlockSize: 4096, DataBlocks: dataBlocks, Headers: 1 << 16, UseORDMA: ordma,
-	})
+	}, stripe.Single(), stripe.AckSync)
 	return &rig{s: s, fs: fs, sc: sc, client: cl, ch: ch, sh: sh}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"danas/internal/exper"
+	"danas/internal/trace"
 )
 
 // replicationTestCounts keeps the sweep tests fast: the full replica
@@ -92,5 +93,37 @@ func TestReplicaFailoverBeatsCrashRecovery(t *testing.T) {
 	}
 	if rw < 0 {
 		t.Errorf("replica-failover never recovered (window %.1fms)", rw)
+	}
+}
+
+// TestSpanFailoversMatchMount runs replica-failover traced, once over
+// raw NFS sessions (stripe.Group) and once over the cached ODAFS client,
+// and checks the spans account for every failover the mount counted:
+// both clients fail over through the same replica-set state machine,
+// which charges each switch to the operation that triggered it.
+func TestSpanFailoversMatchMount(t *testing.T) {
+	for _, sys := range []string{"nfs", "odafs"} {
+		t.Run(sys, func(t *testing.T) {
+			spec := ReplicaFailover()
+			spec.Fleet.System = sys
+			if err := spec.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			tr := trace.Generate(exper.ScaleGen(probe, spec.Workload))
+			sess := exper.NewReplaySession(tr, spec.replayConfig())
+			defer sess.Close()
+			ob, err := sess.Observe(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.Replay("span-failovers", spec.schedule(tr.Duration(), sess.Cluster.P.LinkBandwidth, sess.Cluster.Fab.TrunkRate))
+			var spans uint64
+			for _, sp := range ob.Rec.Spans() {
+				spans += uint64(sp.Failovers)
+			}
+			if got := sess.Mount.Failovers(); got == 0 || spans != got {
+				t.Errorf("spans counted %d failovers, mount %d; want equal and > 0", spans, got)
+			}
+		})
 	}
 }

@@ -78,7 +78,7 @@ func (a AckPolicy) Need(width int) int {
 // policy promises is not.
 var ErrNoQuorum = errors.New("stripe: replica ack quorum unreachable")
 
-// Replicate issues one operation to every listed copy of a replica set:
+// replicate issues one operation to every listed copy of a replica set:
 // copies[0] is the serving copy, run in-line on p — its byte count and
 // error are the operation's result — while the remaining copies run
 // concurrently on their own processes. need is the ack count that
@@ -89,7 +89,7 @@ var ErrNoQuorum = errors.New("stripe: replica ack quorum unreachable")
 // never fails the operation directly (onReplicaErr observes it, and the
 // caller typically evicts the copy); if the acks cannot reach need after
 // every copy answered, the operation fails with ErrNoQuorum.
-func Replicate(p *sim.Proc, copies []int, need int, name string,
+func replicate(p *sim.Proc, copies []int, need int, name string,
 	op func(wp *sim.Proc, copy int) (int64, error),
 	onReplicaErr func(copy int, err error)) (int64, error) {
 	if len(copies) == 1 {

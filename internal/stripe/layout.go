@@ -5,11 +5,14 @@
 // the namespace is replicated (every shard knows every file's name and
 // size) while the data traffic partitions by offset.
 //
-// The package has two layers: Layout, the pure striping arithmetic, and
+// The package has three layers: Layout, the pure striping arithmetic;
 // Client, a nas.Client that routes per-block requests to per-shard
-// sub-clients. The cached ODAFS/DAFS client does its own routing (one
-// client cache, per-shard ORDMA reference directories — see
-// internal/core), but shares the same Layout.
+// sub-clients; and ReplicaSet, the state machine of one shard's replica
+// copies (serving copy, dead marks, ack clamp, failover), which Group
+// wraps behind a nas.Client face for raw sessions. The cached ODAFS/DAFS
+// client does its own routing (one client cache, per-shard ORDMA
+// reference directories — see internal/core), but shares the same
+// Layout and drives the same ReplicaSet.
 package stripe
 
 import (

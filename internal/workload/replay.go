@@ -54,8 +54,8 @@ func (r *ReplayResult) MBps() float64 {
 	return float64(r.Bytes) / 1e6 / r.Elapsed.Seconds()
 }
 
-// Replay drives an open-loop replay of tr over ac: every record is
-// submitted at its recorded arrival time regardless of completions —
+// ReplayObserved drives an open-loop replay of tr over ac: every record
+// is submitted at its recorded arrival time regardless of completions —
 // a slow protocol accumulates queued operations instead of distorting
 // subsequent issue times — while a collector process reaps completions
 // and accumulates latency percentiles. Submission only stalls if the
@@ -63,26 +63,19 @@ func (r *ReplayResult) MBps() float64 {
 // by the trace must already exist; they are opened before the clock
 // starts and closed after the last completion. The returned error is
 // the first open failure or per-operation error.
-func Replay(p *sim.Proc, ac nas.AsyncClient, tr trace.Trace) (*ReplayResult, error) {
-	return ReplayWith(p, ac, tr, nil)
-}
-
-// ReplayWith is Replay with a hook that runs at the instant the replay
-// clock starts (after the files are opened, before the first record is
-// issued) — the failure experiments arm their fault schedules there so
-// event offsets are relative to the same origin as the trace's recorded
-// arrival times.
-func ReplayWith(p *sim.Proc, ac nas.AsyncClient, tr trace.Trace, onStart func(start sim.Time)) (*ReplayResult, error) {
-	return ReplayObserved(p, ac, tr, onStart, nil)
-}
-
-// ReplayObserved is ReplayWith with per-operation tracing: when rc is
-// non-nil every trace record gets a span starting at its scheduled
-// arrival, carried through the protocol stack by the async client, and
-// finalized (end instant, error flag) as its completion is collected.
-// Submission delay past the scheduled arrival — the queue was full —
-// is attributed to the span's queue phase. A nil rc is exactly the
-// untraced replay: no spans are allocated and no hook fires.
+//
+// onStart, when non-nil, runs at the instant the replay clock starts
+// (after the files are opened, before the first record is issued) — the
+// failure experiments arm their fault schedules there so event offsets
+// are relative to the same origin as the trace's recorded arrival
+// times.
+//
+// When rc is non-nil every trace record gets a span starting at its
+// scheduled arrival, carried through the protocol stack by the async
+// client, and finalized (end instant, error flag) as its completion is
+// collected. Submission delay past the scheduled arrival — the queue
+// was full — is attributed to the span's queue phase. A nil rc is
+// exactly the untraced replay: no spans are allocated.
 func ReplayObserved(p *sim.Proc, ac nas.AsyncClient, tr trace.Trace, onStart func(start sim.Time), rc *obs.Recorder) (*ReplayResult, error) {
 	res := &ReplayResult{
 		Issues:  make([]sim.Time, len(tr)),

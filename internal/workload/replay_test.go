@@ -77,7 +77,7 @@ func TestReplayOpenLoopIssueTimes(t *testing.T) {
 	var res *ReplayResult
 	var err error
 	s.Go("replay", func(p *sim.Proc) {
-		res, err = Replay(p, ac, tr)
+		res, err = ReplayObserved(p, ac, tr, nil, nil)
 	})
 	s.Run()
 	if err != nil {
@@ -126,7 +126,7 @@ func TestReplayBoundedDepthBackPressure(t *testing.T) {
 	var res *ReplayResult
 	var err error
 	s.Go("replay", func(p *sim.Proc) {
-		res, err = Replay(p, ac, tr)
+		res, err = ReplayObserved(p, ac, tr, nil, nil)
 	})
 	s.Run()
 	if err != nil {
@@ -173,7 +173,7 @@ func TestReplayOverDAFS(t *testing.T) {
 	var res *ReplayResult
 	var err error
 	s.Go("replay", func(p *sim.Proc) {
-		res, err = Replay(p, ac, tr)
+		res, err = ReplayObserved(p, ac, tr, nil, nil)
 	})
 	s.Run()
 	if err != nil {
@@ -199,7 +199,7 @@ func TestReplayEmptyTrace(t *testing.T) {
 	t.Cleanup(s.Close)
 	ac := nas.NewAsync(&slowClient{opTime: sim.Micros(1), size: 4096}, 1)
 	s.Go("replay", func(p *sim.Proc) {
-		res, err := Replay(p, ac, nil)
+		res, err := ReplayObserved(p, ac, nil, nil, nil)
 		if err != nil || res.Ops != 0 {
 			t.Errorf("empty replay = (%+v, %v), want clean zero result", res, err)
 		}
